@@ -27,8 +27,7 @@ use obliv_engine::{EngineConfig, Plan, QueryRequest};
 use obliv_join::Table;
 use obliv_shard::{Coordinator, ShardConfig};
 
-/// Rows per side: matches the BENCH_8 sweep so the two reports describe
-/// the same join at the same scale.
+/// Rows per side.
 const ROWS_PER_SIDE: usize = 2048;
 /// Shard counts swept (1 = the single-engine-equivalent baseline).
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];

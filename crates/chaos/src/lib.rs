@@ -365,9 +365,6 @@ pub mod points {
     /// Engine worker, at job start (`Panic` = worker panic, `Delay` =
     /// artificially slow job).
     pub const ENGINE_WORKER: &str = "engine/worker";
-    /// One partition task of an intra-query parallel pass, just before it
-    /// executes (`Panic` = failed partition, `Delay` = straggler).
-    pub const ENGINE_PARALLEL_WORKER: &str = "engine/parallel_worker";
     /// Sharded coordinator, at batch start before any subplan is
     /// scattered (`Panic` = coordinator crash surfaced as a typed shard
     /// failure, `Delay` = slow decomposition).

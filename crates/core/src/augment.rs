@@ -64,14 +64,14 @@ pub fn augment_combined<S: TraceSink, P: Payload>(
 
     // Line 3: sort lexicographically by (j, tid) so every group is a
     // contiguous block with the T₁ entries first.
-    bitonic::par_sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid));
+    bitonic::sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid));
 
     // Line 4: Fill-Dimensions — two linear passes (Figure 2).
     let output_size = fill_dimensions(&mut tc, tracer);
 
     // Line 5: re-sort by (tid, j, d) so the first n₁ entries are the
     // augmented T₁ (sorted by (j, d)) and the rest are the augmented T₂.
-    bitonic::par_sort_by_key(&mut tc, |r: &AugRecord<P>| (r.tid, r.key, r.value));
+    bitonic::sort_by_key(&mut tc, |r: &AugRecord<P>| (r.tid, r.key, r.value));
 
     // Lines 6–7: split T_C back into the two augmented tables.
     let mut out1 = tracer.alloc_from(vec![AugRecord::<P>::default(); n1]);

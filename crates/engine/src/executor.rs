@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 use obliv_chaos::{points, Fault, Faults};
 use obliv_join::schema::WideTable;
 use obliv_join::Table;
-use obliv_primitives::{with_parallelism, ParCtx, ParExecutor, ParTask};
 use obliv_telemetry::{
     synthetic_span, AuditRecord, Counter, Gauge, Histogram, LeakageAudit, MetricClass,
     MetricsRegistry, PhaseBreakdown, SlowQueryLog, SlowQueryRecord, SpanNode, SpanRecorder,
@@ -57,7 +56,7 @@ use crate::catalog::{Catalog, TableMeta};
 use crate::error::EngineError;
 use crate::frontend::parse_query;
 use crate::planner::ResolvedPlan;
-use crate::pool::{PoolMetrics, PoolShared, PoolTask, ScopedTask, WorkerPool};
+use crate::pool::{PoolMetrics, PoolTask, WorkerPool};
 use crate::query::{QueryRequest, QueryResponse, QuerySummary, Rows};
 use crate::session::Session;
 
@@ -67,18 +66,6 @@ pub struct EngineConfig {
     /// Number of worker threads used by [`Engine::execute_batch`].
     /// `1` degenerates to serial execution on the calling thread.
     pub workers: usize,
-    /// Maximum partitions an *individual query's* parallelisable passes
-    /// (bitonic gate runs, elementwise mark sweeps) are split into.  `1`
-    /// (the default) keeps every pass on its serial fast path; `>= 2`
-    /// installs a per-query parallelism context whose partition tasks run
-    /// on the same resident pool as whole-query jobs (the submitting
-    /// worker runs one partition itself and help-steals while waiting).
-    /// Results and trace digests are bit-identical at every setting.
-    pub intra_query_threads: usize,
-    /// Minimum gates (or elements) each partition must receive for a pass
-    /// to split; passes below `2 ×` this threshold stay serial.  Guards
-    /// the partitioned path's scratch-copy overhead on small inputs.
-    pub intra_query_min_gates: usize,
     /// Enable the `(canonical plan, catalog epoch)` result cache.  On by
     /// default; disable it to force every request through a fresh
     /// execution (e.g. for timing the uncached path).  Intra-batch
@@ -118,8 +105,6 @@ impl Default for EngineConfig {
             .unwrap_or(1);
         EngineConfig {
             workers,
-            intra_query_threads: 1,
-            intra_query_min_gates: obliv_primitives::par::DEFAULT_MIN_GATES_PER_CHUNK,
             result_cache: true,
             result_cache_cap: RESULT_CACHE_CAP,
             audit_capacity: AUDIT_CAPACITY,
@@ -292,40 +277,9 @@ struct Executed {
     carry_words: usize,
     execute: Duration,
     queue_wait: Duration,
-    /// Partition tasks the query's parallelisable passes forked (0 when
-    /// intra-query parallelism is off or never engaged).
-    parallel_chunks: u64,
-    /// Nanoseconds the query spent waiting at fork-join barriers.
-    barrier_ns: u64,
     /// When execution (and digest extraction) finished on the worker; the
     /// collector derives the publish span from it.
     finished: Instant,
-}
-
-/// [`ParExecutor`] backed by the engine's resident pool: partition tasks
-/// go through the shared injector queue as scoped fork-join work, so
-/// intra-query parallelism reuses the same threads as whole-query jobs.
-/// Each partition consults the `engine/parallel_worker` fault point just
-/// before it runs.
-struct PoolParallelism {
-    shared: Arc<PoolShared<Result<Executed, String>>>,
-    faults: Faults,
-}
-
-impl ParExecutor for PoolParallelism {
-    fn run(&self, tasks: Vec<ParTask>) {
-        let wrapped: Vec<ScopedTask> = tasks
-            .into_iter()
-            .map(|task| {
-                let faults = self.faults.clone();
-                Box::new(move || {
-                    consult_parallel_worker_faults(&faults);
-                    task();
-                }) as ScopedTask
-            })
-            .collect();
-        self.shared.run_scoped(wrapped);
-    }
 }
 
 /// Pre-registered registry handles for everything the engine reports.
@@ -349,8 +303,6 @@ struct EngineMetrics {
     audit_records: Counter,
     workers: Gauge,
     deadline_exceeded: Counter,
-    parallel_chunks: Counter,
-    parallel_barrier_ns: Counter,
 }
 
 /// Operation-counter label values, aligned with [`OpCounters`] fields.
@@ -405,11 +357,6 @@ impl EngineMetrics {
             audit_records: registry.counter("engine_audit_records_total", Content, &[]),
             workers: registry.gauge("engine_workers", Content, &[]),
             deadline_exceeded: registry.counter("engine_deadline_exceeded_total", Timing, &[]),
-            // Both Timing: how a query was chunked (and how long its
-            // barriers took) is scheduling, never content — digests and
-            // op counters are identical at every chunk count.
-            parallel_chunks: registry.counter("engine_parallel_chunks_total", Timing, &[]),
-            parallel_barrier_ns: registry.counter("engine_parallel_barrier_ns_total", Timing, &[]),
         }
     }
 }
@@ -439,15 +386,6 @@ pub struct Engine {
     /// yield `Err(label)` when the request's deadline expired before the
     /// worker could start it.
     pool: WorkerPool<Result<Executed, String>>,
-    /// The intra-query parallelism executor, present when
-    /// [`EngineConfig::intra_query_threads`] is at least 2.  Backed by the
-    /// same resident pool as whole-query jobs.
-    par_exec: Option<Arc<dyn ParExecutor>>,
-    /// Maximum partitions per parallelisable pass
-    /// ([`EngineConfig::intra_query_threads`]).
-    intra_query_threads: usize,
-    /// Engagement threshold ([`EngineConfig::intra_query_min_gates`]).
-    intra_query_min_gates: usize,
     /// Fault-injection handle ([`EngineConfig::faults`]); disabled in
     /// production, a no-op unit type without the chaos `inject` feature.
     faults: Faults,
@@ -497,23 +435,10 @@ impl Engine {
         // A 1-worker engine executes inline; don't park an idle thread.
         let pool: WorkerPool<Result<Executed, String>> =
             WorkerPool::new(if workers > 1 { workers } else { 0 }, Some(pool_metrics));
-        let intra_query_threads = config.intra_query_threads.max(1);
-        // With zero resident workers the scoped tasks run inline on the
-        // submitting thread — same partitioned code path (and the same
-        // fault point), no concurrency.
-        let par_exec: Option<Arc<dyn ParExecutor>> = (intra_query_threads >= 2).then(|| {
-            Arc::new(PoolParallelism {
-                shared: Arc::clone(pool.shared()),
-                faults: config.faults.clone(),
-            }) as Arc<dyn ParExecutor>
-        });
         Engine {
             catalog: RwLock::new(catalog),
             workers,
             pool,
-            par_exec,
-            intra_query_threads,
-            intra_query_min_gates: config.intra_query_min_gates.max(1),
             result_cache: config
                 .result_cache
                 .then(|| Mutex::new(ResultCache::default())),
@@ -659,25 +584,15 @@ impl Engine {
     /// table and the query's leakage accounting.  This is the single code
     /// path used by serial and concurrent execution alike; the caller
     /// closes the publish span and assembles the [`QuerySummary`].
-    fn run_plan(plan: &ResolvedPlan, queue_wait: Duration, par: Option<ParCtx>) -> Executed {
+    fn run_plan(plan: &ResolvedPlan, queue_wait: Duration) -> Executed {
         let start = Instant::now();
         let tracer = Tracer::new(HashingSink::new());
         let mut recorder = SpanRecorder::new("query", tracer.counters());
         // Resolution already validated the whole plan, so execution cannot
         // fail — pair-lowered plans run the legacy kernel, everything else
-        // the wide operators.  With a parallelism context installed the
-        // plan's partitionable passes fan out over the pool; the folded
-        // trace (and therefore the digest) is bit-identical either way.
-        // Span recording observes operator boundaries without touching the
-        // tracer, so digests are unchanged by it too.
-        let (rows, parallel_chunks, barrier_ns) = match par {
-            Some(ctx) => {
-                let stats = ctx.stats();
-                let rows = with_parallelism(ctx, || plan.execute_traced(&tracer, &mut recorder));
-                (rows, stats.chunks(), stats.barrier_ns())
-            }
-            None => (plan.execute_traced(&tracer, &mut recorder), 0, 0),
-        };
+        // the wide operators.  Span recording observes operator boundaries
+        // without touching the tracer, so digests are unchanged by it.
+        let rows = plan.execute_traced(&tracer, &mut recorder);
         let execute = start.elapsed();
         let counters = tracer.counters();
         let (trace_digest, trace_events) = tracer.with_sink(|s| (s.digest_hex(), s.events()));
@@ -700,21 +615,8 @@ impl Engine {
             carry_words: plan.carry_words(),
             execute,
             queue_wait,
-            parallel_chunks,
-            barrier_ns,
             finished: Instant::now(),
         }
-    }
-
-    /// A fresh per-query parallelism context, when intra-query parallelism
-    /// is configured (its [`ParStats`](obliv_primitives::ParStats) are
-    /// created per call, so each query's chunk/barrier accounting starts
-    /// at zero).
-    fn par_ctx(&self) -> Option<ParCtx> {
-        self.par_exec.as_ref().map(|exec| {
-            ParCtx::new(Arc::clone(exec), self.intra_query_threads)
-                .with_min_gates_per_chunk(self.intra_query_min_gates)
-        })
     }
 
     /// Execute a batch of requests serially on this thread.
@@ -859,13 +761,12 @@ impl Engine {
                     let label = rep.label.clone();
                     let deadline = rep.deadline();
                     let faults = self.faults.clone();
-                    let par = self.par_ctx();
                     let task: PoolTask<Result<Executed, String>> = Box::new(move |wait| {
                         consult_worker_faults(&faults);
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             return Err(label);
                         }
-                        Ok(Engine::run_plan(&plan, wait, par))
+                        Ok(Engine::run_plan(&plan, wait))
                     });
                     (slot, task)
                 }),
@@ -906,7 +807,7 @@ impl Engine {
                         label: rep.label.clone(),
                     });
                 }
-                let entry = Engine::run_plan(&plan, Duration::ZERO, self.par_ctx());
+                let entry = Engine::run_plan(&plan, Duration::ZERO);
                 executed[slot] = Some((entry, Instant::now()));
             }
         }
@@ -942,8 +843,6 @@ impl Engine {
             for (counter, span) in self.metrics.phase_ns.iter().zip(phases.in_order()) {
                 counter.add(span.as_nanos() as u64);
             }
-            self.metrics.parallel_chunks.add(run.parallel_chunks);
-            self.metrics.parallel_barrier_ns.add(run.barrier_ns);
             let trace = Arc::new(run.trace);
             if self.slow_query_threshold.is_some_and(|t| wall >= t) {
                 self.slow_log.push(SlowQueryRecord {
@@ -1113,20 +1012,6 @@ impl Engine {
 fn consult_worker_faults(faults: &Faults) {
     match faults.hit(points::ENGINE_WORKER) {
         Some(Fault::Panic) => panic!("injected: engine worker panic"),
-        Some(Fault::Delay(delay)) => thread::sleep(delay),
-        _ => {}
-    }
-}
-
-/// Consult the `engine/parallel_worker` injection point just before one
-/// partition of an intra-query parallel pass runs: `Panic` exercises the
-/// failed-partition path (the scope still waits for its siblings, then the
-/// panic surfaces on the query's worker as the usual contained job panic)
-/// and `Delay` makes one partition a straggler.  Compiles to nothing when
-/// the chaos `inject` feature is off.
-fn consult_parallel_worker_faults(faults: &Faults) {
-    match faults.hit(points::ENGINE_PARALLEL_WORKER) {
-        Some(Fault::Panic) => panic!("injected: engine parallel worker panic"),
         Some(Fault::Delay(delay)) => thread::sleep(delay),
         _ => {}
     }

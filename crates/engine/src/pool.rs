@@ -6,33 +6,26 @@
 //! per-batch thread spawn became the dominant cost of any batch containing
 //! even one miss.  The pool here is *resident*: `workers` threads are
 //! spawned once when the [`Engine`](crate::Engine) is constructed, pull
-//! work from a shared injector queue for the engine's whole lifetime, and
+//! jobs from a shared injector queue for the engine's whole lifetime, and
 //! shut down gracefully (drain, then join) when the engine is dropped.
 //!
-//! Concurrent batches share the same workers: each submitted job carries
-//! its own reply channel, so two callers inside `execute_batch` at the same
-//! time interleave their jobs on the pool without observing each other's
-//! results.  Per-query obliviousness is untouched — a job builds its own
-//! [`Tracer`](obliv_trace::Tracer) exactly as the scoped workers did, so
-//! which thread runs a query (and when) can never change its trace.
+//! Every job is one whole query, and a worker runs it start to finish on
+//! its own thread.  Concurrent batches share the same workers: each
+//! submitted job carries its own reply channel, so two callers inside
+//! `execute_batch` at the same time interleave their jobs on the pool
+//! without observing each other's results, and no caller ever runs another
+//! caller's job.  Per-query obliviousness is untouched — a job builds its
+//! own [`Tracer`](obliv_trace::Tracer), so which thread runs a query (and
+//! when) can never change its trace.
 //!
-//! On top of whole-query jobs the pool serves *scoped* fork-join work
-//! ([`PoolShared::run_scoped`]): a job already running on a worker can
-//! split one oblivious pass into partitions and fan them out to its sibling
-//! workers, waiting on a latch until every partition has finished.  The
-//! submitting thread runs one partition itself and *help-steals* queued
-//! work while it waits, so intra-query parallelism composes with
-//! inter-query parallelism on the same resident threads instead of
-//! spawning a nested pool.
-//!
-//! The pool is instrumented through [`PoolMetrics`]: queue depth (work
+//! The pool is instrumented through [`PoolMetrics`]: queue depth (jobs
 //! submitted but not yet picked up), jobs executed, cumulative worker busy
-//! time and a queue-wait histogram.  Each unit of work is stamped at
-//! submission and query jobs receive the measured queue wait, which the
-//! executor folds into the query's phase breakdown.
+//! time and a queue-wait histogram.  Each job is stamped at submission and
+//! its task receives the measured queue wait, which the executor folds into
+//! the query's phase breakdown.
 
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -42,10 +35,9 @@ use obliv_telemetry::{Counter, Gauge, Histogram};
 ///
 /// Every mutex in this module guards state that a panicking holder cannot
 /// leave logically torn: the injector mutex wraps an `Option<Sender>` (the
-/// send either happened or it didn't), the worker-side mutex wraps a
-/// channel receiver held only across one `recv` call, and the scope latch
-/// wraps a counter updated in one step.  Poison here would mean some
-/// *other* job panicked — which the pool already contains via
+/// send either happened or it didn't), and the worker-side mutex wraps a
+/// channel receiver held only across one `recv` call.  Poison here would
+/// mean some *other* job panicked — which the pool already contains via
 /// `catch_unwind` — so aborting the whole process (the `unwrap` default)
 /// would turn one contained query panic into a wedged engine.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -57,11 +49,11 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Registry handles the pool reports into; all cheap cloneable atomics.
 #[derive(Debug, Clone)]
 pub(crate) struct PoolMetrics {
-    /// Work submitted but not yet picked up by a worker (timing class:
+    /// Jobs submitted but not yet picked up by a worker (timing class:
     /// scheduling-dependent, and fault-injected batches re-submit work).
     pub queue_depth: Gauge,
-    /// Work units a worker has started executing (timing class: an aborted
-    /// batch still ran jobs, and its re-run runs them again).
+    /// Jobs a worker has started executing (timing class: an aborted batch
+    /// still ran jobs, and its re-run runs them again).
     pub jobs: Counter,
     /// Cumulative nanoseconds workers spent running tasks (timing class).
     pub busy_ns: Counter,
@@ -78,215 +70,52 @@ pub(crate) type JobOutput<T> = std::thread::Result<T>;
 /// worker picks it up) so per-query timing can attribute it.
 pub(crate) type PoolTask<T> = Box<dyn FnOnce(Duration) -> T + Send + 'static>;
 
-/// One partition of a scoped fork-join pass ([`PoolShared::run_scoped`]).
-/// Already wrapped with its latch bookkeeping by the submitter, so workers
-/// just call it.
-pub(crate) type ScopedTask = Box<dyn FnOnce() + Send + 'static>;
-
 /// A unit of pool work: run `task`, send its output to `reply` tagged with
 /// `slot`.  The reply receiver may already be gone (a caller that panicked
 /// between submit and collect); the send error is ignored because nobody is
 /// left to care about the result.
-pub(crate) struct Job<T: Send + 'static> {
+struct Job<T: Send + 'static> {
     /// Caller-chosen tag returned with the output (the executor uses the
     /// distinct-plan slot index).
-    pub slot: usize,
-    /// The work itself, executed on a worker thread.
-    pub task: PoolTask<T>,
-    /// Where the tagged output goes.
-    pub reply: mpsc::Sender<(usize, JobOutput<T>)>,
-}
-
-/// Everything that flows through the injector queue.
-pub(crate) enum Work<T: Send + 'static> {
-    /// A whole-query job with its own reply channel.
-    Query(Job<T>),
-    /// One partition of a scoped fork-join pass; completion is reported
-    /// through the latch captured inside the closure, not a channel.
-    Scoped(ScopedTask),
-}
-
-/// A queued unit of work plus its submission stamp (the worker derives the
-/// queue wait from it).
-pub(crate) struct Queued<T: Send + 'static> {
+    slot: usize,
+    /// When the job entered the injector queue; the worker derives the
+    /// queue wait from it.
     submitted: Instant,
-    work: Work<T>,
+    /// The work itself, executed on a worker thread.
+    task: PoolTask<T>,
+    /// Where the tagged output goes.
+    reply: mpsc::Sender<(usize, JobOutput<T>)>,
 }
 
-/// Completion latch for one [`PoolShared::run_scoped`] scope: remaining
-/// task count plus the first panic payload any partition unwound with.
-struct ScopeLatch {
-    state: Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
-    done: Condvar,
-}
-
-/// The state shared between the pool handle, its worker threads, and any
-/// scoped-parallelism executors holding on to the pool.
-///
-/// Split out of [`WorkerPool`] (which additionally owns the join handles)
-/// so long-lived `Arc` holders — the engine's intra-query
-/// [`ParExecutor`](obliv_primitives::ParExecutor) — never keep the worker
-/// threads themselves alive: shutdown is still "close injector, join".
-pub(crate) struct PoolShared<T: Send + 'static> {
-    /// The submit side of the queue.  `None` only during shutdown: dropping
-    /// the sender is what tells idle workers to exit.
-    injector: Mutex<Option<mpsc::Sender<Queued<T>>>>,
-    /// The pull side, shared by every worker (and by help-stealing scoped
-    /// submitters).  Held only while *pulling* work, never while running
-    /// it — except that an idle worker parks inside `recv` holding it,
-    /// which is why stealing uses `try_lock` and never blocks.
-    queue: Mutex<mpsc::Receiver<Queued<T>>>,
-    /// Submission-side handles (queue depth is incremented on submit,
-    /// decremented by the worker that picks the work up).
-    metrics: Option<PoolMetrics>,
-    /// Number of resident worker threads (0 = everything runs inline).
-    workers: usize,
-}
-
-impl<T: Send + 'static> PoolShared<T> {
-    /// Run one unit of work, with metrics.  Called from worker threads and
-    /// from help-stealing scoped submitters alike.
-    fn run_work(&self, queued: Queued<T>) {
-        let wait = queued.submitted.elapsed();
-        if let Some(m) = &self.metrics {
+impl<T: Send + 'static> Job<T> {
+    /// Run the job on the current worker thread, with metrics, and ship its
+    /// output.
+    fn run(self, metrics: Option<&PoolMetrics>) {
+        let Job {
+            slot,
+            submitted,
+            task,
+            reply,
+        } = self;
+        let wait = submitted.elapsed();
+        if let Some(m) = metrics {
             m.queue_depth.dec();
             m.jobs.inc();
             m.queue_wait_us.observe_duration_us(wait);
         }
         let busy = Instant::now();
-        match queued.work {
-            Work::Query(Job { slot, task, reply }) => {
-                // A panicking task must not kill a resident worker (the
-                // pool would silently shrink for the engine's lifetime).
-                // Contain it and ship the payload back: the submitter
-                // re-raises it with the original message.
-                let output =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || task(wait)));
-                // Busy time is recorded *before* the reply ships: once the
-                // submitter has drained every reply, the counters it
-                // snapshots already include every job it waited for.
-                if let Some(m) = &self.metrics {
-                    m.busy_ns.add(busy.elapsed().as_nanos() as u64);
-                }
-                let _ = reply.send((slot, output));
-            }
-            // Scoped tasks carry their own catch_unwind + latch wrapper.
-            Work::Scoped(task) => {
-                task();
-                if let Some(m) = &self.metrics {
-                    m.busy_ns.add(busy.elapsed().as_nanos() as u64);
-                }
-            }
+        // A panicking task must not kill a resident worker (the pool would
+        // silently shrink for the engine's lifetime).  Contain it and ship
+        // the payload back: the submitter re-raises it with the original
+        // message.
+        let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || task(wait)));
+        // Busy time is recorded *before* the reply ships: once the submitter
+        // has drained every reply, the counters it snapshots already include
+        // every job it waited for.
+        if let Some(m) = metrics {
+            m.busy_ns.add(busy.elapsed().as_nanos() as u64);
         }
-    }
-
-    /// Enqueue `work`, stamping it for queue-wait accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called during/after shutdown (the engine drops the pool
-    /// only when the engine itself is dropped, so a live `&Engine` can
-    /// always submit).
-    fn enqueue(&self, work: Work<T>) {
-        let injector = lock_recover(&self.injector);
-        let tx = injector.as_ref().expect("worker pool is shut down");
-        if let Some(m) = &self.metrics {
-            m.queue_depth.inc();
-        }
-        tx.send(Queued {
-            submitted: Instant::now(),
-            work,
-        })
-        .expect("resident workers outlive the injector");
-    }
-
-    /// Execute `tasks` as one fork-join scope and wait for all of them.
-    ///
-    /// The calling thread runs one task itself; the rest go through the
-    /// injector queue so sibling workers pick them up.  While waiting, the
-    /// caller *help-steals*: it opportunistically pulls queued work (scoped
-    /// or whole-query) and runs it inline, so a pool saturated with scoped
-    /// scopes cannot deadlock — every submitter is also a worker.  Stealing
-    /// uses `try_lock` only, because an idle worker parks inside `recv`
-    /// *holding* the queue mutex; a blocking lock would wait on a thread
-    /// that wakes only when new work arrives.
-    ///
-    /// Every task runs to completion even if one of them panics (a failed
-    /// partition must not leave the pool's workers occupied or the latch
-    /// unresolved); the first panic payload is re-raised on the calling
-    /// thread after the barrier.  With zero resident workers all tasks run
-    /// inline, preserving exact fork-join semantics for the serial engine.
-    pub(crate) fn run_scoped(&self, tasks: Vec<ScopedTask>) {
-        let total = tasks.len();
-        if total == 0 {
-            return;
-        }
-        let latch = Arc::new(ScopeLatch {
-            state: Mutex::new((total, None)),
-            done: Condvar::new(),
-        });
-        let wrap = |task: ScopedTask, latch: Arc<ScopeLatch>| -> ScopedTask {
-            Box::new(move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                let mut state = lock_recover(&latch.state);
-                state.0 -= 1;
-                if let Err(payload) = out {
-                    if state.1.is_none() {
-                        state.1 = Some(payload);
-                    }
-                }
-                if state.0 == 0 {
-                    latch.done.notify_all();
-                }
-            })
-        };
-
-        let mut tasks = tasks.into_iter();
-        if self.workers == 0 {
-            // Inline fork-join: same latch bookkeeping (and the same
-            // run-everything-despite-a-panic guarantee) on one thread.
-            for task in tasks {
-                wrap(task, Arc::clone(&latch))();
-            }
-        } else {
-            let run_here = tasks.next_back().expect("scope has at least one task");
-            for task in tasks {
-                self.enqueue(Work::Scoped(wrap(task, Arc::clone(&latch))));
-            }
-            wrap(run_here, Arc::clone(&latch))();
-            loop {
-                if lock_recover(&latch.state).0 == 0 {
-                    break;
-                }
-                // Steal queued work while the scope drains.  The stolen
-                // unit may belong to a different scope or be a whole
-                // query; both are self-contained.
-                let stolen = match self.queue.try_lock() {
-                    Ok(queue) => queue.try_recv().ok(),
-                    Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().try_recv().ok(),
-                    Err(TryLockError::WouldBlock) => None,
-                };
-                if let Some(queued) = stolen {
-                    self.run_work(queued);
-                    continue;
-                }
-                let state = lock_recover(&latch.state);
-                if state.0 == 0 {
-                    break;
-                }
-                // Short timeout so newly queued work becomes stealable
-                // even if the notify raced with the check above.
-                let _ = latch
-                    .done
-                    .wait_timeout(state, Duration::from_millis(1))
-                    .map(|(guard, _)| drop(guard));
-            }
-        }
-
-        let payload = lock_recover(&latch.state).1.take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
+        let _ = reply.send((slot, output));
     }
 }
 
@@ -294,35 +123,37 @@ impl<T: Send + 'static> PoolShared<T> {
 /// queue.
 ///
 /// The queue is an `mpsc` channel whose receiver is shared behind a mutex:
-/// every worker pulls the next unit of work as soon as it finishes the
-/// last, which gives work-stealing behaviour without per-worker deques.
+/// every worker pulls the next job as soon as it finishes the last, which
+/// gives work-stealing behaviour without per-worker deques.  The mutex is
+/// held only while *pulling* a job, never while running one.
 pub(crate) struct WorkerPool<T: Send + 'static> {
-    shared: Arc<PoolShared<T>>,
+    /// The submit side of the queue.  `None` only during shutdown: dropping
+    /// the sender is what tells idle workers to exit.
+    injector: Mutex<Option<mpsc::Sender<Job<T>>>>,
     /// Worker handles, joined on drop.
     workers: Vec<thread::JoinHandle<()>>,
+    /// Submission-side handles (queue depth is incremented on submit,
+    /// decremented by the worker that picks the job up).
+    metrics: Option<PoolMetrics>,
 }
 
 impl<T: Send + 'static> WorkerPool<T> {
     /// Spawn a pool of `workers` resident threads (zero is allowed and
     /// spawns nothing — useful for a serial engine that never submits).
     pub(crate) fn new(workers: usize, metrics: Option<PoolMetrics>) -> Self {
-        let (tx, rx) = mpsc::channel::<Queued<T>>();
-        let shared = Arc::new(PoolShared {
-            injector: Mutex::new(Some(tx)),
-            queue: Mutex::new(rx),
-            metrics,
-            workers,
-        });
+        let (tx, rx) = mpsc::channel::<Job<T>>();
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..workers)
             .map(|i| {
-                let shared = Arc::clone(&shared);
+                let rx = Arc::clone(&rx);
+                let metrics = metrics.clone();
                 thread::Builder::new()
                     .name(format!("obliv-engine-worker-{i}"))
                     .spawn(move || loop {
-                        // Hold the queue lock only while pulling work.
-                        let queued = lock_recover(&shared.queue).recv();
-                        match queued {
-                            Ok(queued) => shared.run_work(queued),
+                        // Hold the queue lock only while pulling a job.
+                        let job = lock_recover(&rx).recv();
+                        match job {
+                            Ok(job) => job.run(metrics.as_ref()),
                             // Channel closed: the pool is shutting down.
                             Err(_) => return,
                         }
@@ -330,17 +161,16 @@ impl<T: Send + 'static> WorkerPool<T> {
                     .expect("spawning an engine worker thread failed")
             })
             .collect();
-        WorkerPool { shared, workers }
+        WorkerPool {
+            injector: Mutex::new(Some(tx)),
+            workers,
+            metrics,
+        }
     }
 
     /// Number of resident worker threads.
     pub(crate) fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The pool state scoped-parallelism executors hold on to.
-    pub(crate) fn shared(&self) -> &Arc<PoolShared<T>> {
-        &self.shared
     }
 
     /// Submit a batch of jobs and a reply sender; outputs arrive on the
@@ -358,12 +188,19 @@ impl<T: Send + 'static> WorkerPool<T> {
         jobs: impl IntoIterator<Item = (usize, PoolTask<T>)>,
         reply: &mpsc::Sender<(usize, JobOutput<T>)>,
     ) {
+        let injector = lock_recover(&self.injector);
+        let tx = injector.as_ref().expect("worker pool is shut down");
         for (slot, task) in jobs {
-            self.shared.enqueue(Work::Query(Job {
+            if let Some(m) = &self.metrics {
+                m.queue_depth.inc();
+            }
+            tx.send(Job {
                 slot,
+                submitted: Instant::now(),
                 task,
                 reply: reply.clone(),
-            }));
+            })
+            .expect("resident workers outlive the injector");
         }
     }
 }
@@ -373,7 +210,7 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
     /// queued, then see the closed channel and exit), then join every
     /// worker so no thread outlives the engine.
     fn drop(&mut self) {
-        lock_recover(&self.shared.injector).take();
+        lock_recover(&self.injector).take();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -384,7 +221,6 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
 mod tests {
     use super::*;
     use obliv_telemetry::{MetricClass, MetricsRegistry};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_runs_jobs_and_tags_slots() {
@@ -543,137 +379,41 @@ mod tests {
     }
 
     #[test]
-    fn run_scoped_executes_every_task_once() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, None);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<ScopedTask> = (0..16)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask
-            })
-            .collect();
-        pool.shared().run_scoped(tasks);
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-        // Scopes are reusable back to back.
-        pool.shared().run_scoped(vec![]);
-        let hits2 = Arc::clone(&hits);
-        pool.shared().run_scoped(vec![Box::new(move || {
-            hits2.fetch_add(10, Ordering::Relaxed);
-        })]);
-        assert_eq!(hits.load(Ordering::Relaxed), 26);
-    }
-
-    #[test]
-    fn run_scoped_on_a_zero_worker_pool_runs_inline() {
-        let pool: WorkerPool<()> = WorkerPool::new(0, None);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<ScopedTask> = (0..4)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask
-            })
-            .collect();
-        pool.shared().run_scoped(tasks);
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn run_scoped_panic_propagates_after_every_task_ran() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, None);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let mut tasks: Vec<ScopedTask> = Vec::new();
-        for i in 0..8 {
-            let hits = Arc::clone(&hits);
-            tasks.push(Box::new(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-                if i == 3 {
-                    panic!("partition bug");
-                }
-            }));
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.shared().run_scoped(tasks)
-        }));
-        let payload = result.expect_err("the partition panic reaches the scope owner");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"partition bug"));
-        // The barrier still waited for everything: all 8 tasks ran.
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        // The pool is at full capacity afterwards: plain jobs still run.
-        let (tx, rx) = mpsc::channel();
-        pool.submit(
-            (0..4usize).map(|i| (i, Box::new(move |_wait: Duration| ()) as PoolTask<()>)),
-            &tx,
-        );
-        drop(tx);
-        assert_eq!(rx.iter().count(), 4);
-        // And so do later scopes.
-        let hits2 = Arc::clone(&hits);
-        pool.shared().run_scoped(vec![Box::new(move || {
-            hits2.fetch_add(1, Ordering::Relaxed);
-        })]);
-        assert_eq!(hits.load(Ordering::Relaxed), 9);
-    }
-
-    #[test]
-    fn scoped_submitters_help_steal_when_workers_are_busy() {
-        // One worker, parked on a slow job: the scope's queued partitions
-        // can only finish because the submitting thread steals them.
-        let pool: WorkerPool<()> = WorkerPool::new(1, None);
-        let (tx, rx) = mpsc::channel();
+    fn a_short_query_does_not_wait_on_an_unrelated_long_one() {
+        // Two callers, each with its own reply channel, share a 2-worker
+        // pool.  The short reply must arrive while the long job is still
+        // running: no job ever waits on an unrelated one.  Sleeps, not
+        // spins, so the test holds on one CPU too.
+        let pool: WorkerPool<&'static str> = WorkerPool::new(2, None);
+        let (long_tx, long_rx) = mpsc::channel();
         pool.submit(
             std::iter::once((
                 0usize,
-                Box::new(move |_wait: Duration| thread::sleep(Duration::from_millis(50)))
-                    as PoolTask<()>,
+                Box::new(|_wait: Duration| {
+                    thread::sleep(Duration::from_millis(300));
+                    "long"
+                }) as PoolTask<&'static str>,
             )),
-            &tx,
+            &long_tx,
         );
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<ScopedTask> = (0..8)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask
-            })
-            .collect();
-        let start = Instant::now();
-        pool.shared().run_scoped(tasks);
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        // The scope must not have waited for the 50 ms job (stealing would
-        // be broken if it did and the test would also just be slow).
-        assert!(start.elapsed() < Duration::from_millis(50));
-        drop(tx);
-        assert_eq!(rx.iter().count(), 1);
-    }
-
-    #[test]
-    fn concurrent_scopes_share_the_pool() {
-        let pool: Arc<WorkerPool<()>> = Arc::new(WorkerPool::new(2, None));
-        let hits = Arc::new(AtomicUsize::new(0));
-        thread::scope(|scope| {
-            for _ in 0..4 {
-                let pool = Arc::clone(&pool);
-                let hits = Arc::clone(&hits);
-                scope.spawn(move || {
-                    for _ in 0..10 {
-                        let tasks: Vec<ScopedTask> = (0..4)
-                            .map(|_| {
-                                let hits = Arc::clone(&hits);
-                                Box::new(move || {
-                                    hits.fetch_add(1, Ordering::Relaxed);
-                                }) as ScopedTask
-                            })
-                            .collect();
-                        pool.shared().run_scoped(tasks);
-                    }
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4 * 10 * 4);
+        // Let a worker pick the long job up, so the short job really runs
+        // beside it rather than ahead of it.
+        thread::sleep(Duration::from_millis(20));
+        let (short_tx, short_rx) = mpsc::channel();
+        pool.submit(
+            std::iter::once((
+                1usize,
+                Box::new(|_wait: Duration| "short") as PoolTask<&'static str>,
+            )),
+            &short_tx,
+        );
+        let (slot, short) = short_rx.recv().expect("short reply");
+        assert_eq!((slot, short.unwrap()), (1, "short"));
+        assert!(
+            long_rx.try_recv().is_err(),
+            "the short reply must arrive before the long job finishes"
+        );
+        let (slot, long) = long_rx.recv().expect("long reply");
+        assert_eq!((slot, long.unwrap()), (0, "long"));
     }
 }

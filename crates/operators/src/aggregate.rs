@@ -61,7 +61,7 @@ pub fn oblivious_group_aggregate<S: TraceSink>(
         .collect();
     let mut buf = tracer.alloc_from(records);
     let n = buf.len();
-    bitonic::par_sort_by_key(&mut buf, |r: &AugRecord| (r.key, r.value));
+    bitonic::sort_by_key(&mut buf, |r: &AugRecord| (r.key, r.value));
 
     // Forward pass: fold the running aggregate into every row (each row
     // stores the aggregate of its group's prefix; the last row of a group

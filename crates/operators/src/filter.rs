@@ -2,7 +2,7 @@
 
 use obliv_join::record::{AugRecord, Entry, TableId};
 use obliv_join::Table;
-use obliv_primitives::{oblivious_compact, par_map_pass, Choice, CtSelect, Routable};
+use obliv_primitives::{map_pass, oblivious_compact, Choice, CtSelect, Routable};
 use obliv_trace::{TraceSink, Tracer};
 
 /// A selection predicate over `(key, value)` rows.
@@ -55,10 +55,8 @@ pub fn oblivious_filter<S: TraceSink>(
         .collect();
     let mut buf = tracer.alloc_from(records);
 
-    // Mark non-matching rows as null; every slot is written back.  The
-    // per-row decision is independent, so the pass splits across the
-    // installed parallelism context (if any).
-    par_map_pass(&mut buf, move |_, r: AugRecord| {
+    // Mark non-matching rows as null; every slot is written back.
+    map_pass(&mut buf, |r: AugRecord| {
         let keep = predicate.matches(&r.entry());
         let mut dropped = r;
         dropped.set_null();
@@ -80,14 +78,14 @@ pub fn oblivious_filter<S: TraceSink>(
 pub fn oblivious_project<S, F>(tracer: &Tracer<S>, table: &Table, map: F) -> Table
 where
     S: TraceSink,
-    F: Fn(Entry) -> Entry + Send + Sync + 'static,
+    F: Fn(Entry) -> Entry,
 {
     let records: Vec<AugRecord> = table
         .iter()
         .map(|&e| AugRecord::from_entry(e, TableId::Left))
         .collect();
     let mut buf = tracer.alloc_from(records);
-    par_map_pass(&mut buf, move |_, mut r: AugRecord| {
+    map_pass(&mut buf, |mut r: AugRecord| {
         let mapped = map(r.entry());
         r.key = mapped.key;
         r.value = mapped.value;

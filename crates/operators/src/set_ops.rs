@@ -37,10 +37,8 @@ pub fn oblivious_distinct<S: TraceSink>(tracer: &Tracer<S>, table: &Table) -> Ta
         .map(|&e| AugRecord::from_entry(e, TableId::Left))
         .collect();
     let mut buf = tracer.alloc_from(records);
-    bitonic::par_sort_by_key(&mut buf, |r: &AugRecord| (r.key, r.value));
+    bitonic::sort_by_key(&mut buf, |r: &AugRecord| (r.key, r.value));
 
-    // The duplicate mark carries `prev` state between rows, so it stays a
-    // serial scan (unlike the sort above, its elements are not independent).
     let mut prev_key = 0u64;
     let mut prev_value = 0u64;
     let mut have_prev = Choice::FALSE;
@@ -96,10 +94,8 @@ fn key_membership_filter<S: TraceSink>(
 
     // Witnesses (tid = 2) must precede the probed rows (tid = 1) within each
     // key group, so sort by (key, tid descending).
-    bitonic::par_sort_by_key(&mut buf, |r: &AugRecord| (r.key, std::cmp::Reverse(r.tid)));
+    bitonic::sort_by_key(&mut buf, |r: &AugRecord| (r.key, std::cmp::Reverse(r.tid)));
 
-    // Witness-carry scan: serial by necessity (each row depends on the
-    // witness state left by earlier rows).
     let keep_matching = Choice::from_bool(keep_matching);
     let mut witness_key = 0u64;
     let mut have_witness = Choice::FALSE;

@@ -498,10 +498,8 @@ fn wide_filter_w<const W: usize, S: TraceSink>(
         .collect();
     let mut buf: TrackedBuffer<WideRec<W>, S> = tracer.alloc_from(recs);
 
-    // Mark non-matching rows null; every slot is written back.  Rows are
-    // independent, so the pass splits across the installed parallelism
-    // context (if any).
-    obliv_primitives::par_map_pass(&mut buf, move |_, r: WideRec<W>| {
+    // Mark non-matching rows null; every slot is written back.
+    obliv_primitives::map_pass(&mut buf, |r: WideRec<W>| {
         let keep = matcher.matches(r.cmp);
         let mut dropped = r;
         dropped.set_null();
@@ -909,7 +907,7 @@ fn wide_distinct_w<const W: usize, S: TraceSink>(
 
     // Sort whole encoded rows so duplicates become adjacent, then mark
     // every row equal to its predecessor null in one fixed scan.
-    bitonic::par_sort_by_key(&mut buf, |r: &WideRec<W>| r.words);
+    bitonic::sort_by_key(&mut buf, |r: &WideRec<W>| r.words);
     let mut prev = [0u64; W];
     let mut have_prev = Choice::FALSE;
     for i in 0..n {
@@ -950,7 +948,7 @@ fn wide_sort_w<const W: usize, S: TraceSink>(tracer: &Tracer<S>, table: &WideTab
         })
         .collect();
     let mut buf: TrackedBuffer<[u64; W], S> = tracer.alloc_from(recs);
-    bitonic::par_sort_by_key(&mut buf, |r: &[u64; W]| *r);
+    bitonic::sort_by_key(&mut buf, |r: &[u64; W]| *r);
     let groups: Vec<Vec<u64>> = buf.into_vec().iter().map(|r| r.to_vec()).collect();
     stage_out(tracer, schema, W, &groups)
 }
@@ -1074,7 +1072,7 @@ fn wide_membership_w<const W: usize, S: TraceSink>(
 
     // Witnesses (tag 2) must precede the probed rows (tag 1) within each
     // key group, so sort by (key, tag descending).
-    bitonic::par_sort_by_key(&mut buf, |r: &WideRec<W>| (r.cmp, std::cmp::Reverse(r.tag)));
+    bitonic::sort_by_key(&mut buf, |r: &WideRec<W>| (r.cmp, std::cmp::Reverse(r.tag)));
 
     let keep_matching = Choice::from_bool(keep_matching);
     let mut witness_key = 0u64;

@@ -15,11 +15,14 @@
 //!   probabilistic distribution,
 //! * [`encode`] — order-preserving codes mapping typed column values
 //!   (signed integers, booleans, short byte strings) into the `u64` word
-//!   domain the comparators operate on.
+//!   domain the comparators operate on,
+//! * [`map_pass`] — the elementwise read-modify-write sweep behind the
+//!   filter and projection mark passes.
 //!
 //! Every primitive operates on buffers allocated from an
 //! [`obliv_trace::Tracer`], so its memory-access sequence can be logged,
 //! hashed, counted or discarded without touching the algorithm code.
+//! Every primitive runs serially on the calling thread.
 //!
 //! ```
 //! use obliv_trace::{CountingSink, Tracer};
@@ -46,7 +49,6 @@ pub mod ct;
 pub mod distribute;
 pub mod encode;
 pub mod expand;
-pub mod par;
 pub mod prp;
 mod routable;
 pub mod sort;
@@ -59,9 +61,23 @@ pub use encode::{
     encode_bytes_be, encode_i64, encode_u64, MAX_BYTES_WORD,
 };
 pub use expand::{oblivious_expand, Expansion};
-pub use par::{
-    context, par_map_pass, with_parallelism, ParCtx, ParExecutor, ParStats, ParTask, SerialExecutor,
-};
 pub use prp::Prp;
 pub use routable::{Keyed, Routable};
 pub use sort::{is_sorted_by_key, Direction};
+
+/// Elementwise read-modify-write sweep over the whole buffer:
+/// `buf[i] = f(buf[i])` for every `i`, counted as one linear step per
+/// element.  The trace is one coalesced read run followed by one coalesced
+/// write run over `[0, len)`, a function of the length only.
+pub fn map_pass<T, S, F>(buf: &mut obliv_trace::TrackedBuffer<T, S>, mut f: F)
+where
+    T: Copy,
+    S: obliv_trace::TraceSink,
+    F: FnMut(T) -> T,
+{
+    let n = buf.len();
+    buf.tracer().bump_linear_steps(n as u64);
+    for slot in buf.rw_run_mut(0, n) {
+        *slot = f(*slot);
+    }
+}

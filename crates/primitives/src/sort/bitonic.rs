@@ -23,15 +23,11 @@
 //! (use [`core::cmp::Reverse`] for descending components), plus an overall
 //! [`Direction`].
 
-use std::sync::{mpsc, Arc};
-
-use obliv_trace::{SubTrace, TraceSink, TrackedBuffer};
+use obliv_trace::{TraceSink, TrackedBuffer};
 
 use super::network::{self, greatest_power_of_two_below, RunSchedule, Schedule};
-use super::wave;
 use super::{compare_exchange, Direction};
 use crate::ct::{Choice, CtSelect};
-use crate::par::{self, ParTask};
 
 /// Sort `buf` in place, ascending by `key`.
 ///
@@ -77,212 +73,20 @@ where
     for run in sched.runs() {
         tracer.bump_comparisons(run.count as u64);
         let (lo_win, hi_win) = buf.paired_run_mut(run.lo, run.stride, run.count);
-        // Same decision and branch-free write-back as `compare_exchange`,
-        // on local copies of each pair.
-        exchange_windows(lo_win, hi_win, run.descending, &key);
-    }
-}
-
-/// Compare-exchange the paired windows of one (sub-)run on local copies:
-/// gate `g` orders `lo_win[g]` against `hi_win[g]`, branch-free.  Shared by
-/// the serial driver above and both arms of the parallel driver.
-#[inline]
-fn exchange_windows<T, K>(
-    lo_win: &mut [T],
-    hi_win: &mut [T],
-    descending: bool,
-    key: &impl Fn(&T) -> K,
-) where
-    T: Copy + CtSelect,
-    K: Ord,
-{
-    for (a_slot, b_slot) in lo_win.iter_mut().zip(hi_win.iter_mut()) {
-        let a = *a_slot;
-        let b = *b_slot;
-        let out_of_order = if descending {
-            key(&a) < key(&b)
-        } else {
-            key(&a) > key(&b)
-        };
-        let c = Choice::from_bool(out_of_order);
-        *a_slot = T::ct_select(c, b, a);
-        *b_slot = T::ct_select(c, a, b);
-    }
-}
-
-/// One partition of a run assigned to a fork-join task: a contiguous range
-/// of `count` gates of schedule run `run_idx`, starting at absolute lower
-/// position `lo`.
-#[derive(Debug, Clone, Copy)]
-struct SubRun {
-    run_idx: usize,
-    lo: usize,
-    stride: usize,
-    count: usize,
-    descending: bool,
-}
-
-/// Sort `buf` in place, ascending by `key`, using the installed
-/// [parallelism context](crate::par::context) if any.
-///
-/// Falls back to [`sort_by_key`] (bit-identical trace, same contents) when
-/// no context is installed or the network is too small to split.
-pub fn par_sort_by_key<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, key: F)
-where
-    T: Copy + CtSelect + Send + 'static,
-    S: TraceSink,
-    K: Ord,
-    F: Fn(&T) -> K + Send + Sync + 'static,
-{
-    par_sort_by_key_dir(buf, Direction::Ascending, key);
-}
-
-/// Sort `buf` in place in the given direction by `key`, executing the
-/// network's waves of independent runs across the installed parallelism
-/// context.
-///
-/// The schedule is leveled into waves of pairwise-disjoint runs
-/// ([`wave::cached_wave_plan`]); each wave's gates are split into balanced
-/// partitions ([`network::GateRun::partition`] arithmetic), they execute
-/// concurrently on owned scratch copies, and a barrier separates waves.
-/// **No trace is emitted while waves execute**: every partition records a
-/// buffered [`SubTrace`] fragment, and after the last wave the fragments
-/// are folded into the tracer per run in global schedule order
-/// ([`Tracer::fold_subtraces`](obliv_trace::Tracer::fold_subtraces)), so
-/// the emitted trace — events, order, counters, digest — is bit-identical
-/// to [`sort_by_key_dir`]'s serial walk.
-///
-/// The stronger bounds (`Send + 'static` on `T`, `Send + Sync + 'static`
-/// on `F`) exist because partitions run on pool workers; serial call sites
-/// keep using [`sort_by_key_dir`] unchanged.
-pub fn par_sort_by_key_dir<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, dir: Direction, key: F)
-where
-    T: Copy + CtSelect + Send + 'static,
-    S: TraceSink,
-    K: Ord,
-    F: Fn(&T) -> K + Send + Sync + 'static,
-{
-    let n = buf.len();
-    if n <= 1 {
-        return;
-    }
-    let Some(ctx) = par::context().filter(|c| c.chunks() >= 2) else {
-        return sort_by_key_dir(buf, dir, key);
-    };
-    let sched = network::cached_bitonic_runs(n, dir);
-    if sched.gate_count() < 2 * ctx.min_gates_per_chunk() as u64 {
-        return sort_by_key_dir(buf, dir, key);
-    }
-    let plan = wave::cached_wave_plan(n, dir);
-    let tracer = buf.tracer();
-    let id = buf.id();
-    let key = Arc::new(key);
-    let runs = sched.runs();
-    // Per run: (gate offset within the run, fragment), accumulated across
-    // waves and folded only after the last barrier.
-    let mut fragments: Vec<Vec<(usize, SubTrace)>> = vec![Vec::new(); runs.len()];
-    let data = buf.staging_mut();
-
-    for wave_runs in plan.waves() {
-        let wave_gates: usize = wave_runs.iter().map(|&ri| runs[ri as usize].count).sum();
-        let per_chunk = wave_gates
-            .div_ceil(ctx.chunks())
-            .max(ctx.min_gates_per_chunk());
-
-        // Pack the wave's runs into tasks of ~per_chunk gates, splitting
-        // runs where needed (partition arithmetic: a sub-run is a valid
-        // GateRun at lo + offset).
-        let mut task_jobs: Vec<Vec<SubRun>> = Vec::new();
-        let mut current: Vec<SubRun> = Vec::new();
-        let mut current_gates = 0usize;
-        for &ri in wave_runs {
-            let run = runs[ri as usize];
-            let mut off = 0usize;
-            while off < run.count {
-                let take = (per_chunk - current_gates).min(run.count - off);
-                current.push(SubRun {
-                    run_idx: ri as usize,
-                    lo: run.lo + off,
-                    stride: run.stride,
-                    count: take,
-                    descending: run.descending,
-                });
-                current_gates += take;
-                off += take;
-                if current_gates >= per_chunk {
-                    task_jobs.push(std::mem::take(&mut current));
-                    current_gates = 0;
-                }
-            }
+        for (a_slot, b_slot) in lo_win.iter_mut().zip(hi_win.iter_mut()) {
+            // Same decision and branch-free write-back as `compare_exchange`,
+            // on local copies of the pair.
+            let a = *a_slot;
+            let b = *b_slot;
+            let out_of_order = if run.descending {
+                key(&a) < key(&b)
+            } else {
+                key(&a) > key(&b)
+            };
+            let c = Choice::from_bool(out_of_order);
+            *a_slot = T::ct_select(c, b, a);
+            *b_slot = T::ct_select(c, a, b);
         }
-        if !current.is_empty() {
-            task_jobs.push(current);
-        }
-
-        if task_jobs.len() < 2 {
-            // The wave is too small to be worth forking: execute its runs
-            // in place (still with buffered emission, so the final fold
-            // covers every run uniformly).
-            for &ri in wave_runs {
-                let run = runs[ri as usize];
-                let mut st = SubTrace::new();
-                st.bump_comparisons(run.count as u64);
-                st.record_exchange(run.lo as u64, run.stride as u64, run.count as u64);
-                let (head, tail) = data.split_at_mut(run.lo + run.stride);
-                exchange_windows(
-                    &mut head[run.lo..run.lo + run.count],
-                    &mut tail[..run.count],
-                    run.descending,
-                    key.as_ref(),
-                );
-                fragments[ri as usize].push((0, st));
-            }
-            continue;
-        }
-
-        let (tx, rx) = mpsc::channel::<(SubRun, Vec<T>, SubTrace)>();
-        let mut tasks: Vec<ParTask> = Vec::with_capacity(task_jobs.len());
-        for jobs in task_jobs {
-            // Ship owned scratch: [lo window | hi window] per sub-run,
-            // copied out untraced (the fold accounts for every access).
-            let owned: Vec<(SubRun, Vec<T>)> = jobs
-                .into_iter()
-                .map(|sub| {
-                    let mut scratch = Vec::with_capacity(2 * sub.count);
-                    scratch.extend_from_slice(&data[sub.lo..sub.lo + sub.count]);
-                    scratch.extend_from_slice(&data[sub.lo + sub.stride..][..sub.count]);
-                    (sub, scratch)
-                })
-                .collect();
-            let tx = tx.clone();
-            let key = Arc::clone(&key);
-            tasks.push(Box::new(move || {
-                for (sub, mut scratch) in owned {
-                    let mut st = SubTrace::new();
-                    st.bump_comparisons(sub.count as u64);
-                    st.record_exchange(sub.lo as u64, sub.stride as u64, sub.count as u64);
-                    let (lo_win, hi_win) = scratch.split_at_mut(sub.count);
-                    exchange_windows(lo_win, hi_win, sub.descending, key.as_ref());
-                    let _ = tx.send((sub, scratch, st));
-                }
-            }));
-        }
-        drop(tx);
-        ctx.run_tasks(tasks);
-
-        for (sub, scratch, st) in rx.iter() {
-            data[sub.lo..sub.lo + sub.count].copy_from_slice(&scratch[..sub.count]);
-            data[sub.lo + sub.stride..][..sub.count].copy_from_slice(&scratch[sub.count..]);
-            fragments[sub.run_idx].push((sub.lo - runs[sub.run_idx].lo, st));
-        }
-    }
-
-    // One fold per run, in schedule order: each fold emits that run's four
-    // coalesced access runs exactly as the serial driver's
-    // `paired_run_mut` would, and run boundaries can never merge.
-    for mut frags in fragments {
-        frags.sort_unstable_by_key(|&(off, _)| off);
-        tracer.fold_subtraces(id, frags.into_iter().map(|(_, fragment)| fragment));
     }
 }
 
@@ -541,104 +345,6 @@ mod tests {
         let c = run(vec![7; n]);
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn par_sort_without_context_is_the_serial_driver() {
-        let tracer = Tracer::new(CollectingSink::new());
-        let mut buf = tracer.alloc_from(vec![5u64, 1, 4, 1, 3]);
-        par_sort_by_key(&mut buf, |x| *x);
-        assert_eq!(buf.as_slice(), &[1, 1, 3, 4, 5]);
-
-        let reference = Tracer::new(CollectingSink::new());
-        let mut rbuf = reference.alloc_from(vec![5u64, 1, 4, 1, 3]);
-        sort_by_key(&mut rbuf, |x| *x);
-        assert_eq!(
-            tracer.with_sink(|s| s.accesses().to_vec()),
-            reference.with_sink(|s| s.accesses().to_vec())
-        );
-    }
-
-    #[test]
-    fn par_sort_is_bit_identical_to_serial_at_every_chunk_count() {
-        use crate::par::{with_parallelism, ParCtx, SerialExecutor};
-        use std::sync::Arc;
-
-        for n in [2usize, 3, 5, 8, 13, 33, 64, 100, 129] {
-            for dir in [Direction::Ascending, Direction::Descending] {
-                let input: Vec<u64> = (0..n as u64).map(|x| (x * 2654435761) % 23).collect();
-
-                let serial = Tracer::new(CollectingSink::new());
-                let mut sbuf = serial.alloc_from(input.clone());
-                sort_by_key_dir(&mut sbuf, dir, |x| *x);
-                let serial_trace = serial.with_sink(|s| s.accesses().to_vec());
-
-                for chunks in [1usize, 2, 4, 8] {
-                    let parallel = Tracer::new(CollectingSink::new());
-                    let mut pbuf = parallel.alloc_from(input.clone());
-                    let ctx =
-                        ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
-                    let stats = ctx.stats();
-                    with_parallelism(ctx, || par_sort_by_key_dir(&mut pbuf, dir, |x| *x));
-                    assert_eq!(
-                        pbuf.as_slice(),
-                        sbuf.as_slice(),
-                        "contents n={n} {dir:?} chunks={chunks}"
-                    );
-                    assert_eq!(
-                        parallel.with_sink(|s| s.accesses().to_vec()),
-                        serial_trace,
-                        "trace n={n} {dir:?} chunks={chunks}"
-                    );
-                    assert_eq!(
-                        parallel.counters(),
-                        serial.counters(),
-                        "counters n={n} {dir:?} chunks={chunks}"
-                    );
-                    // Tiny networks legitimately never fork (every wave is
-                    // below two gates); larger ones must.
-                    if chunks >= 2 && n >= 16 {
-                        assert!(stats.chunks() > 0, "forked n={n} {dir:?} chunks={chunks}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_sort_runs_on_real_threads() {
-        use crate::par::{with_parallelism, ParCtx, ParExecutor, ParTask};
-        use std::sync::Arc;
-
-        // A throwaway executor that actually spawns: proves the Send
-        // bounds and the barrier do what they claim (the engine's pool
-        // executor is exercised in the engine's differential suite).
-        struct SpawningExecutor;
-        impl ParExecutor for SpawningExecutor {
-            fn run(&self, tasks: Vec<ParTask>) {
-                std::thread::scope(|scope| {
-                    for task in tasks {
-                        scope.spawn(task);
-                    }
-                });
-            }
-        }
-
-        let input: Vec<u64> = (0..257u64).map(|x| (x * 2654435761) % 101).collect();
-        let serial = Tracer::new(CollectingSink::new());
-        let mut sbuf = serial.alloc_from(input.clone());
-        sort_by_key(&mut sbuf, |x| *x);
-
-        let parallel = Tracer::new(CollectingSink::new());
-        let mut pbuf = parallel.alloc_from(input);
-        let ctx = ParCtx::new(Arc::new(SpawningExecutor), 4).with_min_gates_per_chunk(1);
-        with_parallelism(ctx, || par_sort_by_key(&mut pbuf, |x| *x));
-
-        assert_eq!(pbuf.as_slice(), sbuf.as_slice());
-        assert_eq!(
-            parallel.with_sink(|s| s.accesses().to_vec()),
-            serial.with_sink(|s| s.accesses().to_vec())
-        );
     }
 
     #[test]

@@ -55,38 +55,6 @@ impl GateRun {
             hi: self.lo + self.stride + g,
         })
     }
-
-    /// Split the run into at most `chunks` disjoint sub-runs that cover
-    /// every gate exactly once, in execution order.
-    ///
-    /// The gates of a run are mutually independent (each touches a distinct
-    /// `(lo+g, lo+stride+g)` pair), so the sub-runs can execute
-    /// concurrently; concatenating the sub-runs' [`gates`](GateRun::gates)
-    /// reproduces this run's gate sequence exactly.  Sub-run sizes are
-    /// balanced: they differ by at most one gate.  `chunks` is clamped to
-    /// `[1, count]` — asking for more chunks than gates yields one
-    /// single-gate sub-run per gate, and `chunks = 0` is treated as 1.
-    pub fn partition(&self, chunks: usize) -> Vec<GateRun> {
-        let chunks = chunks.clamp(1, self.count.max(1));
-        let base = self.count / chunks;
-        let extra = self.count % chunks;
-        let mut parts = Vec::with_capacity(chunks);
-        let mut offset = 0;
-        for i in 0..chunks {
-            let take = base + usize::from(i < extra);
-            if take == 0 {
-                continue;
-            }
-            parts.push(GateRun {
-                lo: self.lo + offset,
-                stride: self.stride,
-                count: take,
-                descending: self.descending,
-            });
-            offset += take;
-        }
-        parts
-    }
 }
 
 /// A sorting network flattened into an iterative sequence of [`GateRun`]s.
@@ -383,48 +351,6 @@ mod tests {
             let sched = cached_bitonic_runs(n, Direction::Ascending);
             assert_eq!(sched.gate_count(), bitonic_comparator_count(n), "n={n}");
         }
-    }
-
-    #[test]
-    fn partition_covers_every_gate_exactly_once_in_order() {
-        let run = GateRun {
-            lo: 3,
-            stride: 8,
-            count: 7,
-            descending: true,
-        };
-        for chunks in [1usize, 2, 3, 4, 7, 9, 100] {
-            let parts = run.partition(chunks);
-            assert!(parts.len() <= chunks.max(1));
-            assert!(parts.iter().all(|p| p.stride == 8 && p.descending));
-            // Balanced: sizes differ by at most one gate.
-            let max = parts.iter().map(|p| p.count).max().unwrap();
-            let min = parts.iter().map(|p| p.count).min().unwrap();
-            assert!(max - min <= 1, "chunks={chunks}");
-            let flat: Vec<Gate> = parts.iter().flat_map(|p| p.gates()).collect();
-            let original: Vec<Gate> = run.gates().collect();
-            assert_eq!(flat, original, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn partition_degenerate_inputs() {
-        let run = GateRun {
-            lo: 0,
-            stride: 4,
-            count: 1,
-            descending: false,
-        };
-        assert_eq!(run.partition(0), vec![run]);
-        assert_eq!(run.partition(1), vec![run]);
-        assert_eq!(run.partition(5), vec![run]);
-        let empty = GateRun {
-            lo: 0,
-            stride: 1,
-            count: 0,
-            descending: false,
-        };
-        assert!(empty.partition(3).is_empty());
     }
 
     #[test]

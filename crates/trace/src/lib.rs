@@ -49,7 +49,6 @@ mod access;
 mod counters;
 pub mod sha256;
 mod sink;
-mod subtrace;
 mod tracer;
 mod tracked;
 
@@ -58,7 +57,6 @@ pub use counters::OpCounters;
 pub use sink::{
     AccessTotals, CollectingSink, CountingSink, HashingSink, NullSink, TeeSink, TraceSink,
 };
-pub use subtrace::{SubEvent, SubTrace};
 pub use tracer::Tracer;
 pub use tracked::TrackedBuffer;
 

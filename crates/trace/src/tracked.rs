@@ -151,21 +151,6 @@ impl<T: Copy, S: TraceSink> TrackedBuffer<T, S> {
         &mut self.data[start..start + count]
     }
 
-    /// Out-of-model mutable access to the whole array, for parallel
-    /// staging.
-    ///
-    /// Intra-query parallel drivers copy disjoint windows out to worker
-    /// scratch and copy the results back through this view; the traced
-    /// events for the pass are emitted separately via
-    /// [`Tracer::fold_subtraces`], exactly as the serial walk would have
-    /// emitted them.  Like [`as_slice`](TrackedBuffer::as_slice), this is
-    /// **not** part of the oblivious programming model and records nothing;
-    /// algorithm code must pair it with a fold that accounts for every
-    /// access.
-    pub fn staging_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Out-of-model inspection of the whole array.
     ///
     /// This is **not** part of the oblivious programming model — it exists

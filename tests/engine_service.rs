@@ -256,19 +256,28 @@ fn pair_lowering_is_exactly_the_degenerate_fragment() {
     }
 }
 
-/// The same batch produces the same results whatever the pool width.
+/// The same batch produces the same results whatever the pool width.  The
+/// column-syntax batch adds the operators the mixed batch does not reach:
+/// the wide filter and projection passes and a union feeding a distinct.
 #[test]
 fn results_are_independent_of_worker_count() {
-    let baseline: Vec<_> = {
-        let engine = loaded_engine(1);
-        engine.execute_text_batch(&MIXED_QUERIES).unwrap()
-    };
-    for workers in [2, 4, 8] {
-        let engine = loaded_engine(workers);
-        let responses = engine.execute_text_batch(&MIXED_QUERIES).unwrap();
-        for (b, r) in baseline.iter().zip(&responses) {
-            assert_eq!(b.rows, r.rows, "workers={workers}, query `{}`", b.label);
-            assert_eq!(b.summary.trace_digest, r.summary.trace_digest);
+    let column_queries = [
+        "SCAN orders | FILTER value>=500",
+        "JOIN orders lineitem ON key | PROJECT key,right_value",
+        "SCAN orders | UNION lineitem | DISTINCT",
+    ];
+    for queries in [&MIXED_QUERIES[..], &column_queries[..]] {
+        let baseline: Vec<_> = {
+            let engine = loaded_engine(1);
+            engine.execute_text_batch(queries).unwrap()
+        };
+        for workers in [2, 4, 8] {
+            let engine = loaded_engine(workers);
+            let responses = engine.execute_text_batch(queries).unwrap();
+            for (b, r) in baseline.iter().zip(&responses) {
+                assert_eq!(b.rows, r.rows, "workers={workers}, query `{}`", b.label);
+                assert_eq!(b.summary.trace_digest, r.summary.trace_digest);
+            }
         }
     }
 }
@@ -396,7 +405,13 @@ fn metric_snapshots_depend_only_on_public_parameters() {
 /// executor, fan-out).
 #[test]
 fn cache_hit_is_bit_identical_to_original_miss_end_to_end() {
-    let engine = loaded_engine(4);
+    for workers in [2, 4] {
+        cache_hit_replays_the_miss(workers);
+    }
+}
+
+fn cache_hit_replays_the_miss(workers: usize) {
+    let engine = loaded_engine(workers);
     let query = "JOIN orders lineitem | FILTER v>=500 | AGG sum";
 
     let miss = engine.execute_text_batch(&[query]).unwrap().pop().unwrap();
@@ -440,7 +455,13 @@ fn cache_hit_is_bit_identical_to_original_miss_end_to_end() {
 /// duplicate's payload is bit-identical and correctly labelled.
 #[test]
 fn intra_batch_duplicates_are_deduplicated_concurrently() {
-    let engine = loaded_engine(4);
+    for workers in [2, 4] {
+        duplicates_execute_once(workers);
+    }
+}
+
+fn duplicates_execute_once(workers: usize) {
+    let engine = loaded_engine(workers);
     let mut queries = vec!["JOIN orders lineitem"; 5];
     queries.push("SCAN orders | AGG count");
     let responses = engine.execute_text_batch(&queries).unwrap();
