@@ -50,9 +50,8 @@ pub struct TableMeta {
 ///
 /// Tables come in two shapes: the legacy `(u64, u64)` pair shape
 /// ([`register`](Catalog::register)) and typed wide tables
-/// ([`register_wide`](Catalog::register_wide)).  Wide plans can read both
-/// (a pair table is the degenerate `{key, value}` schema); pair plans can
-/// only read pair tables.
+/// ([`register_wide`](Catalog::register_wide)).  Plans read both (a pair
+/// table is the degenerate `{key, value}` schema).
 ///
 /// ```
 /// use obliv_engine::Catalog;

@@ -589,9 +589,8 @@ impl Engine {
         let tracer = Tracer::new(HashingSink::new());
         let mut recorder = SpanRecorder::new("query", tracer.counters());
         // Resolution already validated the whole plan, so execution cannot
-        // fail — pair-lowered plans run the legacy kernel, everything else
-        // the wide operators.  Span recording observes operator boundaries
-        // without touching the tracer, so digests are unchanged by it.
+        // fail.  Span recording observes operator boundaries without
+        // touching the tracer, so digests are unchanged by it.
         let rows = plan.execute_traced(&tracer, &mut recorder);
         let execute = start.elapsed();
         let counters = tracer.counters();

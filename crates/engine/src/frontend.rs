@@ -39,8 +39,8 @@
 //! `AGG agg`, `SWAP`, `DISTINCT`, `UNION t`, `JOIN t [proj]`, `JOINAGG t
 //! jagg` (`proj` := key-left | key-right | left-right | right-left; `jagg`
 //! := count | sumleft | sumright | sumproducts).  `v` and `k` name the
-//! current value/key columns; the compiled plans lower back onto the
-//! pair-shaped kernel, so legacy queries trace exactly as before.
+//! current value/key columns; the compiled plans are ordinary column plans
+//! and run on the same operators.
 //!
 //! A query is parsed as column syntax when any clause uses `ON`,
 //! `PROJECT`, a parenthesised or `BY`-qualified aggregate, or a filter
@@ -58,7 +58,7 @@
 //! ```
 
 use obliv_join::schema::Value;
-use obliv_operators::{Aggregate, JoinAggregate, JoinColumns, Predicate, WidePredicate};
+use obliv_operators::{Aggregate, JoinAggregate, WidePredicate};
 
 use crate::error::EngineError;
 use crate::query::Plan;
@@ -199,7 +199,8 @@ fn is_wide_query(source: &str, stages: &[&str]) -> bool {
                     return !tokens[0].eq_ignore_ascii_case("k");
                 }
                 rest.contains('"')
-                    || (parse_predicate(&rest).is_err() && parse_wide_predicate(&rest).is_ok())
+                    || (parse_predicate(&rest, "key", "value").is_err()
+                        && parse_wide_predicate(&rest).is_ok())
             }
             _ => false,
         }
@@ -557,16 +558,30 @@ fn legacy_right_carry_name(left_key: &str, left_value: &str) -> String {
     }
 }
 
+/// The two output columns a legacy `JOIN … [proj]` keeps, out of the join
+/// key and the carried left and right values.
+#[derive(Debug, Clone, Copy)]
+enum LegacyProjection {
+    /// `key-left`: the join key, then the left value.
+    KeyAndLeft,
+    /// `key-right` (the default): the join key, then the right value.
+    KeyAndRight,
+    /// `left-right`: re-keyed by the left value.
+    LeftAndRight,
+    /// `right-left`: re-keyed by the right value.
+    RightAndLeft,
+}
+
 /// A legacy `JOIN … [proj]`: an equi-join on the current key column and
 /// the scanned table's `key`, projected to the legacy two-column shape.
-fn legacy_join(left: LegacyBuilder, right_table: &str, proj: JoinColumns) -> LegacyBuilder {
+fn legacy_join(left: LegacyBuilder, right_table: &str, proj: LegacyProjection) -> LegacyBuilder {
     let left_out = legacy_left_carry_name(&left.value);
     let right_out = legacy_right_carry_name(&left.key, &left.value);
     let (first, second) = match proj {
-        JoinColumns::KeyAndLeft => (left.key.clone(), left_out),
-        JoinColumns::KeyAndRight => (left.key.clone(), right_out),
-        JoinColumns::LeftAndRight => (left_out, right_out),
-        JoinColumns::RightAndLeft => (right_out, left_out),
+        LegacyProjection::KeyAndLeft => (left.key.clone(), left_out),
+        LegacyProjection::KeyAndRight => (left.key.clone(), right_out),
+        LegacyProjection::LeftAndRight => (left_out, right_out),
+        LegacyProjection::RightAndLeft => (right_out, left_out),
     };
     let joined = left
         .plan
@@ -619,7 +634,7 @@ fn parse_legacy_source(clause: &str) -> Result<LegacyBuilder, String> {
             [l, r] => Ok(legacy_join(
                 LegacyBuilder::scan(l),
                 r,
-                JoinColumns::KeyAndRight,
+                LegacyProjection::KeyAndRight,
             )),
             [l, r, proj] => Ok(legacy_join(
                 LegacyBuilder::scan(l),
@@ -682,7 +697,7 @@ fn parse_legacy_stage(input: LegacyBuilder, clause: &str) -> Result<LegacyBuilde
     let words: Vec<&str> = words.collect();
     match keyword.as_str() {
         "FILTER" => {
-            let predicate = legacy_predicate(parse_predicate(&words.join(" "))?, &input);
+            let predicate = parse_predicate(&words.join(" "), &input.key, &input.value)?;
             Ok(LegacyBuilder {
                 plan: input.plan.filter(predicate),
                 ..input
@@ -727,7 +742,7 @@ fn parse_legacy_stage(input: LegacyBuilder, clause: &str) -> Result<LegacyBuilde
             _ => Err("SWAP takes no arguments".into()),
         },
         "JOIN" => match words.as_slice() {
-            [t] => Ok(legacy_join(input, t, JoinColumns::KeyAndRight)),
+            [t] => Ok(legacy_join(input, t, LegacyProjection::KeyAndRight)),
             [t, proj] => Ok(legacy_join(input, t, parse_projection(proj)?)),
             _ => Err("stage JOIN takes one table name and an optional projection".into()),
         },
@@ -783,25 +798,12 @@ fn parse_legacy_stage(input: LegacyBuilder, clause: &str) -> Result<LegacyBuilde
     }
 }
 
-/// Map a legacy kernel predicate onto the current key/value column names.
-fn legacy_predicate(predicate: Predicate, input: &LegacyBuilder) -> WidePredicate {
-    match predicate {
-        Predicate::True => WidePredicate::True,
-        Predicate::ValueAtLeast(n) => WidePredicate::at_least(&input.value, Value::U64(n)),
-        Predicate::ValueBelow(n) => WidePredicate::below(&input.value, Value::U64(n)),
-        Predicate::KeyEquals(n) => WidePredicate::equals(&input.key, Value::U64(n)),
-        Predicate::KeyInRange(lo, hi) => {
-            WidePredicate::in_range(&input.key, Value::U64(lo), Value::U64(hi))
-        }
-    }
-}
-
-fn parse_projection(word: &str) -> Result<JoinColumns, String> {
+fn parse_projection(word: &str) -> Result<LegacyProjection, String> {
     match word.to_ascii_lowercase().as_str() {
-        "key-left" => Ok(JoinColumns::KeyAndLeft),
-        "key-right" => Ok(JoinColumns::KeyAndRight),
-        "left-right" => Ok(JoinColumns::LeftAndRight),
-        "right-left" => Ok(JoinColumns::RightAndLeft),
+        "key-left" => Ok(LegacyProjection::KeyAndLeft),
+        "key-right" => Ok(LegacyProjection::KeyAndRight),
+        "left-right" => Ok(LegacyProjection::LeftAndRight),
+        "right-left" => Ok(LegacyProjection::RightAndLeft),
         other => Err(format!(
             "unknown join projection `{other}` (expected key-left, key-right, left-right or \
              right-left)"
@@ -838,9 +840,9 @@ fn parse_number(text: &str) -> Result<u64, String> {
         .map_err(|_| format!("`{text}` is not an unsigned integer"))
 }
 
-/// Parse a legacy filter predicate: `true`, `v>=N`, `v<N`, `k=N` or
-/// `k in LO..HI`.
-fn parse_predicate(text: &str) -> Result<Predicate, String> {
+/// Parse a legacy filter predicate — `true`, `v>=N`, `v<N`, `k=N` or
+/// `k in LO..HI` — over the current `key` / `value` column names.
+fn parse_predicate(text: &str, key: &str, value: &str) -> Result<WidePredicate, String> {
     // Normalise: lowercase, strip spaces around operators so `v >= 100` and
     // `v>=100` both parse.
     let compact: String = text.to_ascii_lowercase();
@@ -849,7 +851,7 @@ fn parse_predicate(text: &str) -> Result<Predicate, String> {
         return Err("FILTER needs a predicate (true, v>=N, v<N, k=N, k in LO..HI)".into());
     }
     if compact == "true" {
-        return Ok(Predicate::True);
+        return Ok(WidePredicate::True);
     }
 
     // `k in LO..HI` (inclusive bounds).
@@ -866,18 +868,18 @@ fn parse_predicate(text: &str) -> Result<Predicate, String> {
         if lo > hi {
             return Err(format!("empty key range {lo}..{hi}"));
         }
-        return Ok(Predicate::KeyInRange(lo, hi));
+        return Ok(WidePredicate::in_range(key, Value::U64(lo), Value::U64(hi)));
     }
 
     let without_spaces: String = compact.chars().filter(|c| !c.is_whitespace()).collect();
     if let Some(n) = without_spaces.strip_prefix("v>=") {
-        return Ok(Predicate::ValueAtLeast(parse_number(n)?));
+        return Ok(WidePredicate::at_least(value, Value::U64(parse_number(n)?)));
     }
     if let Some(n) = without_spaces.strip_prefix("v<") {
-        return Ok(Predicate::ValueBelow(parse_number(n)?));
+        return Ok(WidePredicate::below(value, Value::U64(parse_number(n)?)));
     }
     if let Some(n) = without_spaces.strip_prefix("k=") {
-        return Ok(Predicate::KeyEquals(parse_number(n)?));
+        return Ok(WidePredicate::equals(key, Value::U64(parse_number(n)?)));
     }
     Err(format!(
         "unknown predicate `{text}` (expected true, v>=N, v<N, k=N or k in LO..HI)"

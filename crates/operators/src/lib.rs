@@ -10,25 +10,30 @@
 //! operator the future-work section sketches.
 //!
 //! Every operator has the same leakage profile as the join itself: its
-//! memory-access sequence depends only on the input sizes and, where an
-//! output table is produced, on the revealed output size.
+//! memory-access sequence depends only on the input sizes, the (public)
+//! schema row widths and, where an output table is produced, on the
+//! revealed output size.
+//!
+//! The operators work over typed multi-column tables
+//! ([`obliv_join::schema`]) and select key and payload columns by name; a
+//! pair-shaped [`Table`](obliv_join::Table) is the degenerate
+//! `{key: u64, value: u64}` schema
+//! ([`WideTable::from_pair`](obliv_join::WideTable::from_pair)).
 //!
 //! | operator | cost | reveals |
 //! |----------|------|---------|
-//! | [`oblivious_filter`] | `O(n log n)` | output size |
-//! | [`oblivious_project`] | `O(n)` | nothing |
-//! | [`oblivious_union_all`] | `O(n)` | nothing |
-//! | [`oblivious_distinct`] | `O(n log² n)` | output size |
-//! | [`oblivious_group_aggregate`] | `O(n log² n)` | number of groups |
-//! | [`oblivious_semi_join`] / [`oblivious_anti_join`] | `O(n log² n)` | output size |
-//! | [`oblivious_join_aggregate`] | `O(n log² n)` — no `m`-sized expansion | number of groups |
+//! | [`wide_filter`] | `O(n log n)` | output size |
+//! | [`wide_project`] | `O(n)` | nothing |
+//! | [`wide_union_all`] | `O(n)` | nothing |
+//! | [`wide_distinct`] | `O(n log² n)` | output size |
+//! | [`wide_semi_join`] / [`wide_anti_join`] | `O(n log² n)` | output size |
+//! | [`wide_join`] | `O(n log² n + m log m)` — the paper's join | output size `m` |
+//! | [`wide_group_aggregate`] | `O(n log² n)` | number of groups |
+//! | [`wide_join_aggregate`] | `O(n log² n)` — no `m`-sized expansion | number of groups |
 //!
-//! The [`wide`] module lifts the full operator set — filter, project,
-//! distinct, union-all, join (with multi-column payload carries through the
-//! generic `[u64; W]` kernel record), semi/anti join, group-aggregate and
-//! join-aggregate — to typed multi-column tables ([`obliv_join::schema`]):
-//! operators select key and payload columns by name, and the trace
-//! additionally reflects the (public) schema row width.
+//! The two aggregates run on the pair-shaped kernels
+//! [`oblivious_group_aggregate`] and [`oblivious_join_aggregate`], which are
+//! public too.
 //!
 //! ```
 //! use obliv_join::Table;
@@ -46,19 +51,11 @@
 #![warn(missing_docs)]
 
 mod aggregate;
-mod filter;
 mod join_aggregate;
-mod plan;
-mod set_ops;
 pub mod wide;
 
 pub use aggregate::{oblivious_group_aggregate, Aggregate};
-pub use filter::{oblivious_filter, oblivious_project, Predicate};
 pub use join_aggregate::{oblivious_join_aggregate, JoinAggregate};
-pub use plan::{JoinColumns, NoObserver, PlanObserver, QueryPlan};
-pub use set_ops::{
-    oblivious_anti_join, oblivious_distinct, oblivious_semi_join, oblivious_union_all,
-};
 pub use wide::{
     group_aggregate_output_schema, join_aggregate_output_schema, join_output_name,
     join_output_schema, project_output_schema, union_output_schema, validate_membership_keys,

@@ -4,13 +4,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use obliv_join::schema::{Value, WideTable};
 use obliv_join::Table;
 use obliv_operators::{
-    oblivious_anti_join, oblivious_distinct, oblivious_filter, oblivious_group_aggregate,
-    oblivious_join_aggregate, oblivious_semi_join, oblivious_union_all, Aggregate, JoinAggregate,
-    Predicate,
+    oblivious_group_aggregate, oblivious_join_aggregate, wide_anti_join, wide_distinct,
+    wide_filter, wide_semi_join, wide_union_all, Aggregate, JoinAggregate, WidePredicate,
 };
-use obliv_trace::{CountingSink, Tracer};
+use obliv_trace::{CollectingSink, CountingSink, Tracer};
 use proptest::prelude::*;
 
 fn tracer() -> Tracer<CountingSink> {
@@ -23,28 +23,46 @@ fn small_table(max_rows: usize) -> impl Strategy<Value = Table> {
     prop::collection::vec((0u64..12, 0u64..100), 0..max_rows).prop_map(Table::from_pairs)
 }
 
+/// A pair table under the degenerate `{key, value}` schema.
+fn wide(table: &Table) -> WideTable {
+    WideTable::from_pair(table)
+}
+
+/// A `{key, value}` result read back as pairs, in output order.
+fn pairs(table: &WideTable) -> Vec<(u64, u64)> {
+    table
+        .project_pair("key", "value")
+        .unwrap()
+        .iter()
+        .map(|e| (e.key, e.value))
+        .collect()
+}
+
+fn value_at_least(threshold: u64) -> WidePredicate {
+    WidePredicate::at_least("value", Value::U64(threshold))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn filter_matches_retain(table in small_table(60), threshold in 0u64..100) {
-        let out = oblivious_filter(&tracer(), &table, Predicate::ValueAtLeast(threshold));
+        let out = wide_filter(&tracer(), &wide(&table), &value_at_least(threshold)).unwrap();
         let expected: Vec<(u64, u64)> = table
             .rows()
             .iter()
             .filter(|e| e.value >= threshold)
             .map(|e| (e.key, e.value))
             .collect();
-        let got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(pairs(&out), expected);
     }
 
     #[test]
     fn distinct_matches_set_semantics(table in small_table(80)) {
-        let out = oblivious_distinct(&tracer(), &table);
+        let out = wide_distinct(&tracer(), &wide(&table)).unwrap();
         let expected: BTreeSet<(u64, u64)> =
             table.rows().iter().map(|e| (e.key, e.value)).collect();
-        let got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
+        let got = pairs(&out);
         prop_assert_eq!(got.len(), expected.len());
         prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
         prop_assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), expected);
@@ -52,7 +70,7 @@ proptest! {
 
     #[test]
     fn union_preserves_multiset(a in small_table(40), b in small_table(40)) {
-        let out = oblivious_union_all(&tracer(), &a, &b);
+        let out = wide_union_all(&tracer(), &wide(&a), &wide(&b)).unwrap();
         prop_assert_eq!(out.len(), a.len() + b.len());
         let mut expected: Vec<(u64, u64)> = a
             .rows()
@@ -60,7 +78,7 @@ proptest! {
             .chain(b.rows().iter())
             .map(|e| (e.key, e.value))
             .collect();
-        let mut got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
+        let mut got = pairs(&out);
         expected.sort_unstable();
         got.sort_unstable();
         prop_assert_eq!(got, expected);
@@ -68,13 +86,14 @@ proptest! {
 
     #[test]
     fn semi_and_anti_join_partition(probe in small_table(50), witnesses in small_table(50)) {
-        let semi = oblivious_semi_join(&tracer(), &probe, &witnesses);
-        let anti = oblivious_anti_join(&tracer(), &probe, &witnesses);
+        let (probe_w, witnesses_w) = (wide(&probe), wide(&witnesses));
+        let semi = wide_semi_join(&tracer(), &probe_w, &witnesses_w, "key", "key").unwrap();
+        let anti = wide_anti_join(&tracer(), &probe_w, &witnesses_w, "key", "key").unwrap();
         prop_assert_eq!(semi.len() + anti.len(), probe.len());
 
         let witness_keys: BTreeSet<u64> = witnesses.rows().iter().map(|e| e.key).collect();
-        prop_assert!(semi.rows().iter().all(|e| witness_keys.contains(&e.key)));
-        prop_assert!(anti.rows().iter().all(|e| !witness_keys.contains(&e.key)));
+        prop_assert!(pairs(&semi).iter().all(|(k, _)| witness_keys.contains(k)));
+        prop_assert!(pairs(&anti).iter().all(|(k, _)| !witness_keys.contains(k)));
     }
 
     #[test]
@@ -124,21 +143,24 @@ proptest! {
     }
 
     #[test]
-    fn filter_access_count_is_a_function_of_input_size(
+    fn filter_trace_is_a_function_of_public_sizes(
         table in small_table(60),
         threshold in 0u64..100,
     ) {
-        // Two runs over tables of the same length (the real one and an
-        // all-identical one) must make the same number of accesses.
-        let n = table.len();
-        let tracer_a = tracer();
-        let _ = oblivious_filter(&tracer_a, &table, Predicate::ValueAtLeast(threshold));
-        let a = tracer_a.with_sink(|s| s.overall());
-
-        let uniform: Table = (0..n as u64).map(|_| (1u64, 1u64)).collect();
-        let tracer_b = tracer();
-        let _ = oblivious_filter(&tracer_b, &uniform, Predicate::True);
-        let b = tracer_b.with_sink(|s| s.overall());
+        // Two runs over tables of the same length that keep the same number
+        // of rows (the real one, and a constant-key one whose first `kept`
+        // rows match) must make exactly the same accesses.
+        let run = |t: &Table, predicate: &WidePredicate| {
+            let tracer = Tracer::new(CollectingSink::new());
+            let out = wide_filter(&tracer, &wide(t), predicate).unwrap();
+            (out.len(), tracer.with_sink(|s| s.accesses().to_vec()))
+        };
+        let (kept, a) = run(&table, &value_at_least(threshold));
+        let uniform: Table = (0..table.len())
+            .map(|i| (1u64, u64::from(i < kept)))
+            .collect();
+        let (kept_b, b) = run(&uniform, &value_at_least(1));
+        prop_assert_eq!(kept, kept_b);
         prop_assert_eq!(a, b);
     }
 }

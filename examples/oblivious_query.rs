@@ -22,10 +22,9 @@ use obliv_join_suite::prelude::*;
 use obliv_trace::Tracer;
 
 fn main() {
-    // orders(order_id, weight), lineitem(order_id, price).
     let workload = orders_lineitem(1_000, 11);
-    let orders = &workload.left;
-    let lineitem = &workload.right;
+    let orders = WideTable::from_pair_named(&workload.left, "order_id", "weight").unwrap();
+    let lineitem = WideTable::from_pair_named(&workload.right, "order_id", "price").unwrap();
     let tracer = Tracer::new(CountingSink::new());
 
     println!(
@@ -36,12 +35,29 @@ fn main() {
     );
 
     // WHERE l.price >= 20 — oblivious selection.
-    let expensive = oblivious_filter(&tracer, lineitem, Predicate::ValueAtLeast(20));
+    let expensive = wide_filter(
+        &tracer,
+        &lineitem,
+        &WidePredicate::at_least("price", Value::U64(20)),
+    )
+    .unwrap();
     println!("lineitem rows with price >= 20: {}", expensive.len());
 
     // GROUP BY order_id, SUM(price * weight) over the join — computed
     // without materialising the join at all.
-    let revenue = oblivious_join_aggregate(&tracer, orders, &expensive, JoinAggregate::SumProducts);
+    let revenue = wide_join_aggregate(
+        &tracer,
+        &orders,
+        &expensive,
+        "order_id",
+        "order_id",
+        Some("weight"),
+        Some("price"),
+        JoinAggregate::SumProducts,
+    )
+    .unwrap()
+    .project_pair("order_id", "sum_products")
+    .unwrap();
     println!(
         "orders with at least one expensive line item: {}",
         revenue.len()
@@ -58,8 +74,12 @@ fn main() {
 
     // Cross-check against a plaintext materialisation of the same query.
     let mut reference: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for o in orders.iter() {
-        for l in expensive.iter().filter(|l| l.key == o.key) {
+    for o in workload.left.iter() {
+        for l in workload
+            .right
+            .iter()
+            .filter(|l| l.key == o.key && l.value >= 20)
+        {
             *reference.entry(o.key).or_insert(0) += o.value * l.value;
         }
     }
@@ -72,17 +92,15 @@ fn main() {
     println!("join-aggregate result verified against a materialised reference ✓");
 
     // A few more operators from the library, for flavour.
-    let distinct_orders_with_items = oblivious_semi_join(&tracer, orders, lineitem);
-    let orders_without_items = oblivious_anti_join(&tracer, orders, lineitem);
-    let distinct_prices = oblivious_distinct(
-        &tracer,
-        &oblivious_project(&tracer, lineitem, |e| {
-            obliv_join_suite::join::Entry::new(e.value, 0)
-        }),
-    );
+    let orders_with_items =
+        wide_semi_join(&tracer, &orders, &lineitem, "order_id", "order_id").unwrap();
+    let orders_without_items =
+        wide_anti_join(&tracer, &orders, &lineitem, "order_id", "order_id").unwrap();
+    let prices = wide_project(&tracer, &lineitem, &["price".to_string()]).unwrap();
+    let distinct_prices = wide_distinct(&tracer, &prices).unwrap();
     println!(
         "orders with line items: {}, without: {}, distinct prices: {}",
-        distinct_orders_with_items.len(),
+        orders_with_items.len(),
         orders_without_items.len(),
         distinct_prices.len()
     );

@@ -1,9 +1,10 @@
 //! Integration tests for the `obliv-engine` query service: concurrent
 //! batches must be bit-identical to direct [`ResolvedPlan`] execution, a
 //! query's trace digest must not depend on what else the pool is running,
-//! and every degenerate (pair-shaped) unified plan must lower onto the
-//! legacy pair kernel — bit-identical rows *and* trace digests to a
-//! hand-built [`QueryPlan`].
+//! and every legacy pair query must answer like a plain-Rust reference with
+//! a digest that does not depend on the table contents.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use obliv_join_suite::prelude::*;
 
@@ -110,148 +111,168 @@ fn concurrent_batch_matches_direct_resolved_execution() {
     }
 }
 
-/// The pair/unified equivalence contract: every legacy pair query lowers
-/// onto the pair kernel and produces bit-identical rows and trace digests
-/// to a hand-built legacy [`QueryPlan`] over the same tables.
-#[test]
-fn degenerate_plans_match_legacy_query_plans_bit_for_bit() {
-    let catalog = reference_catalog();
-    let orders = catalog.get("orders").unwrap().clone();
-    let lineitem = catalog.get("lineitem").unwrap().clone();
-    let events = catalog.get("events").unwrap().clone();
-    let users = catalog.get("users").unwrap().clone();
+/// One query per legacy source and stage form, over the reference catalog.
+const LEGACY_QUERIES: [&str; 11] = [
+    "JOIN orders lineitem",
+    "SCAN orders | FILTER v>=1000 | AGG sum",
+    "SEMIJOIN orders lineitem",
+    "ANTIJOIN users events",
+    "JOINAGG orders lineitem count",
+    "SCAN events | FILTER k in 1..20 | AGG count",
+    "SCAN lineitem | SWAP | DISTINCT",
+    "JOINAGG events users sumright",
+    "JOIN events users key-left | UNION orders",
+    "JOIN events users left-right | DISTINCT",
+    "JOIN orders lineitem right-left | AGG max",
+];
 
-    // (unified text form, equivalent legacy pair-kernel plan)
-    let cases: Vec<(&str, QueryPlan)> = vec![
-        (
-            "JOIN orders lineitem",
-            QueryPlan::scan(orders.clone())
-                .join(QueryPlan::scan(lineitem.clone()), JoinColumns::KeyAndRight),
+/// The answer to one of [`LEGACY_QUERIES`], computed in plain Rust from the
+/// catalog's pair tables and sorted.
+fn legacy_reference(text: &str, catalog: &Catalog) -> Vec<(u64, u64)> {
+    let rows = |name: &str| -> Vec<(u64, u64)> {
+        let table = catalog.get(name).unwrap();
+        table.iter().map(|e| (e.key, e.value)).collect()
+    };
+    // (key, left value, right value) for every joined pair.
+    let join = |left: &str, right: &str| -> Vec<(u64, u64, u64)> {
+        let right = rows(right);
+        let mut out = Vec::new();
+        for (k, a) in rows(left) {
+            for &(_, b) in right.iter().filter(|&&(k2, _)| k2 == k) {
+                out.push((k, a, b));
+            }
+        }
+        out
+    };
+    let has_key = |name: &str, k: u64| rows(name).iter().any(|&(k2, _)| k2 == k);
+    let group = |pairs: Vec<(u64, u64)>, fold: fn(u64, u64) -> u64| -> Vec<(u64, u64)> {
+        let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
+        for (k, v) in pairs {
+            groups
+                .entry(k)
+                .and_modify(|acc| *acc = fold(*acc, v))
+                .or_insert(v);
+        }
+        groups.into_iter().collect()
+    };
+    let sum: fn(u64, u64) -> u64 = |a, b| a + b;
+    let mut out: Vec<(u64, u64)> = match text {
+        "JOIN orders lineitem" => join("orders", "lineitem")
+            .into_iter()
+            .map(|(k, _, b)| (k, b))
+            .collect(),
+        "SCAN orders | FILTER v>=1000 | AGG sum" => group(
+            rows("orders")
+                .into_iter()
+                .filter(|&(_, v)| v >= 1000)
+                .collect(),
+            sum,
         ),
-        (
-            "SCAN orders | FILTER v>=1000 | AGG sum",
-            QueryPlan::scan(orders.clone())
-                .filter(Predicate::ValueAtLeast(1000))
-                .group_aggregate(Aggregate::Sum),
+        "SEMIJOIN orders lineitem" => rows("orders")
+            .into_iter()
+            .filter(|&(k, _)| has_key("lineitem", k))
+            .collect(),
+        "ANTIJOIN users events" => rows("users")
+            .into_iter()
+            .filter(|&(k, _)| !has_key("events", k))
+            .collect(),
+        "JOINAGG orders lineitem count" => group(
+            join("orders", "lineitem")
+                .into_iter()
+                .map(|(k, _, _)| (k, 1))
+                .collect(),
+            sum,
         ),
-        (
-            "SEMIJOIN orders lineitem",
-            QueryPlan::scan(orders.clone()).semi_join(QueryPlan::scan(lineitem.clone())),
+        "SCAN events | FILTER k in 1..20 | AGG count" => group(
+            rows("events")
+                .into_iter()
+                .filter(|&(k, _)| (1..=20).contains(&k))
+                .map(|(k, _)| (k, 1))
+                .collect(),
+            sum,
         ),
-        (
-            "ANTIJOIN users events",
-            QueryPlan::scan(users.clone()).anti_join(QueryPlan::scan(events.clone())),
+        "SCAN lineitem | SWAP | DISTINCT" => rows("lineitem")
+            .into_iter()
+            .map(|(k, v)| (v, k))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect(),
+        "JOINAGG events users sumright" => group(
+            join("events", "users")
+                .into_iter()
+                .map(|(k, _, b)| (k, b))
+                .collect(),
+            sum,
         ),
-        (
-            "JOINAGG orders lineitem count",
-            QueryPlan::scan(orders.clone())
-                .join_aggregate(QueryPlan::scan(lineitem.clone()), JoinAggregate::CountPairs),
+        "JOIN events users key-left | UNION orders" => join("events", "users")
+            .into_iter()
+            .map(|(k, a, _)| (k, a))
+            .chain(rows("orders"))
+            .collect(),
+        "JOIN events users left-right | DISTINCT" => join("events", "users")
+            .into_iter()
+            .map(|(_, a, b)| (a, b))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect(),
+        "JOIN orders lineitem right-left | AGG max" => group(
+            join("orders", "lineitem")
+                .into_iter()
+                .map(|(_, a, b)| (b, a))
+                .collect(),
+            u64::max,
         ),
-        (
-            "SCAN events | FILTER k in 1..20 | AGG count",
-            QueryPlan::scan(events.clone())
-                .filter(Predicate::KeyInRange(1, 20))
-                .group_aggregate(Aggregate::Count),
-        ),
-        (
-            "SCAN lineitem | SWAP | DISTINCT",
-            QueryPlan::scan(lineitem.clone()).swap_columns().distinct(),
-        ),
-        (
-            "JOINAGG events users sumright",
-            QueryPlan::scan(events.clone())
-                .join_aggregate(QueryPlan::scan(users.clone()), JoinAggregate::SumRight),
-        ),
-        (
-            "JOIN events users key-left | UNION orders",
-            QueryPlan::scan(events.clone())
-                .join(QueryPlan::scan(users.clone()), JoinColumns::KeyAndLeft)
-                .union_all(QueryPlan::scan(orders.clone())),
-        ),
-        (
-            "JOIN events users left-right | DISTINCT",
-            QueryPlan::scan(events.clone())
-                .join(QueryPlan::scan(users.clone()), JoinColumns::LeftAndRight)
-                .distinct(),
-        ),
-        (
-            "JOIN orders lineitem right-left | AGG max",
-            QueryPlan::scan(orders.clone())
-                .join(QueryPlan::scan(lineitem.clone()), JoinColumns::RightAndLeft)
-                .group_aggregate(Aggregate::Max),
-        ),
-    ];
-
-    for (text, legacy) in cases {
-        let resolved = parse_query(text).unwrap().resolve(&catalog).unwrap();
-        assert!(
-            resolved.is_pair_lowered(),
-            "`{text}` must lower onto the pair kernel"
-        );
-
-        let tracer = Tracer::new(HashingSink::new());
-        let unified = resolved.execute(&tracer);
-        let unified_digest = tracer.with_sink(|s| s.digest_hex());
-
-        let tracer = Tracer::new(HashingSink::new());
-        let reference = legacy.execute(&tracer);
-        let legacy_digest = tracer.with_sink(|s| s.digest_hex());
-
-        assert_eq!(
-            unified.pairs().unwrap(),
-            reference
-                .rows()
-                .iter()
-                .map(|e| (e.key, e.value))
-                .collect::<Vec<_>>(),
-            "rows for `{text}`"
-        );
-        assert_eq!(
-            unified_digest, legacy_digest,
-            "trace digest for `{text}` must be bit-identical to the legacy kernel"
-        );
-    }
+        other => panic!("no reference for `{other}`"),
+    };
+    out.sort_unstable();
+    out
 }
 
-/// Column-syntax forms of degenerate queries resolve to the *wide* backend
-/// only when they genuinely leave the pair shape.
-#[test]
-fn pair_lowering_is_exactly_the_degenerate_fragment() {
-    let catalog = reference_catalog();
-    let lowered = [
-        "JOIN orders lineitem",
-        "SCAN orders | FILTER v>=10",
-        "SCAN orders | DISTINCT | AGG count",
-    ];
-    for text in lowered {
-        assert!(
-            parse_query(text)
-                .unwrap()
-                .resolve(&catalog)
-                .unwrap()
-                .is_pair_lowered(),
-            "`{text}`"
-        );
+/// The reference catalog with every key and value rewritten.  Keys go
+/// through a bijection that keeps the `k in 1..20` range, values through
+/// an injection that keeps the `v>=1000` threshold, so every table keeps
+/// its size and per-key multiplicities and every size a legacy query
+/// reveals stays the same.
+fn twisted_catalog(catalog: &Catalog) -> Catalog {
+    let key = |k: u64| {
+        if (1..=20).contains(&k) {
+            21 - k
+        } else {
+            k + 1_000
+        }
+    };
+    let value = |v: u64| if v < 1000 { 999 - v } else { v + (1 << 32) };
+    let mut twin = Catalog::new();
+    for name in ["orders", "lineitem", "events", "users"] {
+        let table = catalog.get(name).unwrap();
+        let twisted: Table = table.iter().map(|e| (key(e.key), value(e.value))).collect();
+        assert_ne!(&twisted, table, "the twist must change `{name}`");
+        twin.register(name, twisted).unwrap();
     }
-    let wide = [
-        // A one-column projection has no pair shape.
-        "SCAN orders | PROJECT value",
-        // A filter between the join and its projection breaks the
-        // both-sides-carried lowering pattern (legacy never emits this).
-        "JOIN orders lineitem ON key | FILTER left_value>=1 | PROJECT left_value,right_value",
-        // Carrying both sides' values is a three-column join.
-        "JOIN orders lineitem ON key | PROJECT key,left_value,right_value",
-        // key >= N has no legacy predicate form.
-        "SCAN orders | FILTER key>=3",
-    ];
-    for text in wide {
-        assert!(
-            !parse_query(text)
-                .unwrap()
-                .resolve(&catalog)
-                .unwrap()
-                .is_pair_lowered(),
-            "`{text}`"
+    twin
+}
+
+/// Every legacy pair query answers exactly like a plain-Rust reference, and
+/// its trace digest is the same on a catalog with the same public shape but
+/// different contents.
+#[test]
+fn legacy_queries_match_plaintext_and_digests_ignore_contents() {
+    let catalog = reference_catalog();
+    let twin = twisted_catalog(&catalog);
+    for text in LEGACY_QUERIES {
+        let plan = parse_query(text).unwrap();
+        let run = |catalog: &Catalog| {
+            let tracer = Tracer::new(HashingSink::new());
+            let rows = plan.resolve(catalog).unwrap().execute(&tracer);
+            let mut pairs = rows.pairs().expect("legacy queries answer in pairs");
+            pairs.sort_unstable();
+            assert_eq!(pairs, legacy_reference(text, catalog), "rows for `{text}`");
+            tracer.with_sink(|s| s.digest_hex())
+        };
+        assert_eq!(
+            run(&catalog),
+            run(&twin),
+            "trace digest for `{text}` depends on table contents"
         );
     }
 }
@@ -504,7 +525,7 @@ fn sessions_run_concurrent_batches() {
     );
     assert_eq!(
         stats.max_carry_words, 1,
-        "the pair-lowered joins carry one kernel word"
+        "the legacy joins carry one kernel word"
     );
 
     let direct = engine.execute_text_batch(&MIXED_QUERIES).unwrap();

@@ -5,10 +5,20 @@
 use std::collections::BTreeMap;
 
 use obliv_join_suite::prelude::*;
-use obliv_trace::Tracer;
+use obliv_trace::{TraceSink, Tracer};
 
 fn tracer() -> Tracer<CountingSink> {
     Tracer::new(CountingSink::new())
+}
+
+/// Oblivious `value >= threshold` selection over a pair table (the
+/// degenerate `{key, value}` schema), read back as a pair table.
+fn filter_value_at_least<S: TraceSink>(tracer: &Tracer<S>, t: &Table, threshold: u64) -> Table {
+    let predicate = WidePredicate::at_least("value", Value::U64(threshold));
+    wide_filter(tracer, &WideTable::from_pair(t), &predicate)
+        .unwrap()
+        .project_pair("key", "value")
+        .unwrap()
 }
 
 #[test]
@@ -18,7 +28,7 @@ fn filter_join_aggregate_pipeline_matches_plaintext_sql() {
     let (t1, t2) = (&workload.left, &workload.right);
     let tracer = tracer();
 
-    let filtered = oblivious_filter(&tracer, t2, Predicate::ValueAtLeast(50));
+    let filtered = filter_value_at_least(&tracer, t2, 50);
     let result = oblivious_join_aggregate(&tracer, t1, &filtered, JoinAggregate::SumProducts);
 
     let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
@@ -80,8 +90,12 @@ fn group_aggregate_over_join_output_agrees_with_join_aggregate() {
 fn semi_join_plus_anti_join_cover_the_probe_side() {
     let workload = pk_fk(60, 240, 5);
     let tracer = tracer();
-    let semi = oblivious_semi_join(&tracer, &workload.right, &workload.left);
-    let anti = oblivious_anti_join(&tracer, &workload.right, &workload.left);
+    let (probe, witnesses) = (
+        WideTable::from_pair(&workload.right),
+        WideTable::from_pair(&workload.left),
+    );
+    let semi = wide_semi_join(&tracer, &probe, &witnesses, "key", "key").unwrap();
+    let anti = wide_anti_join(&tracer, &probe, &witnesses, "key", "key").unwrap();
     assert_eq!(semi.len() + anti.len(), workload.right.len());
     // Every foreign row references an existing key in this generator.
     assert_eq!(anti.len(), 0);
@@ -98,7 +112,7 @@ fn distinct_then_group_count_equals_histogram() {
         assert_eq!(row.value, histogram[&row.key], "key {}", row.key);
     }
 
-    let distinct = oblivious_distinct(&tracer, &t);
+    let distinct = wide_distinct(&tracer, &WideTable::from_pair(&t)).unwrap();
     // 23 keys × 7 values, but only pairs (i % 23, i % 7) that actually occur.
     let expected: std::collections::BTreeSet<(u64, u64)> =
         t.rows().iter().map(|e| (e.key, e.value)).collect();
@@ -109,7 +123,7 @@ fn distinct_then_group_count_equals_histogram() {
 fn operator_traces_depend_only_on_sizes() {
     let digest = |t1: &Table, t2: &Table| {
         let tracer = Tracer::new(HashingSink::new());
-        let filtered = oblivious_filter(&tracer, t2, Predicate::ValueAtLeast(10));
+        let filtered = filter_value_at_least(&tracer, t2, 10);
         // Pad the filter output to a fixed comparison point by only hashing
         // when the revealed intermediate size matches; the workloads below
         // are constructed so it does.
